@@ -326,10 +326,11 @@ BENCHMARK(BM_ShardedCampaign)
 // capacity misses) versus under the adaptive region monitor riding a
 // direct-mode runtime (arg 1: the sampled campaigns' golden path — one NVM
 // memcpy plus one countdown decrement per access). Arg 2 is the direct-mode
-// run with no monitor at all: the raw access floor both modes share. The
-// monitoring OVERHEAD ratio is (arg0 - arg2) / (arg1 - arg2); the
-// checked-in baseline records all three legs and docs/INTERNALS.md quotes
-// the ratio.
+// run with no monitor at all, which takes the native state (one memcpy
+// against the pinned image): the raw access floor. The ratio
+// (arg0 - arg2) / (arg1 - arg2) compares full tracking with the sampled
+// golden path, each above that floor; the checked-in baseline records all
+// three legs and docs/INTERNALS.md quotes the ratio.
 void BM_RegionMonitor(benchmark::State& state) {
   const int mode = static_cast<int>(state.range(0));
   easycrash::runtime::Runtime rt;
@@ -357,6 +358,60 @@ void BM_RegionMonitor(benchmark::State& state) {
 }
 BENCHMARK(BM_RegionMonitor)->Arg(0)->Arg(1)->Arg(2);
 
+// One campaign restart, informational: the app is crashed once mid-run on
+// the simulated hierarchy (outside the timed loop), and each iteration
+// replays exactly what CampaignRunner::runRestart does with that snapshot —
+// a fresh direct-mode Runtime, app setup + initialize, the candidates'
+// surviving NVM bytes restored, and the run from the bookmarked iteration
+// through verify. With nothing armed the restart takes the native state.
+void BM_Restart(benchmark::State& state, const char* name) {
+  namespace rt = easycrash::runtime;
+  const easycrash::crash::CampaignConfig config;
+  const auto factory = easycrash::apps::findBenchmark(name).factory;
+  rt::Runtime golden(config.cache);
+  golden.setDirect(true);
+  auto goldenApp = factory();
+  const int finalIteration = rt::Driver::freshRun(*goldenApp, golden).finalIteration;
+
+  rt::Runtime crashing(config.cache);
+  auto crashingApp = factory();
+  crashingApp->setup(crashing);
+  crashingApp->initialize(crashing);
+  crashing.armCrash(golden.windowAccesses() / 2);
+  std::vector<std::pair<rt::ObjectId, std::vector<std::uint8_t>>> snapshot;
+  int restartIteration = 1;
+  try {
+    (void)rt::Driver::run(*crashingApp, crashing, 1, finalIteration);
+  } catch (const rt::CrashEvent&) {
+    for (const auto& object : crashing.objects()) {
+      if (object.candidate) {
+        snapshot.emplace_back(object.id, crashing.dumpObjectNvm(object.id));
+      }
+    }
+    restartIteration = crashing.bookmarkedIterationNvm();
+  }
+
+  std::uint64_t window = 0;
+  for (auto _ : state) {
+    rt::Runtime restart(config.cache);
+    restart.setDirect(true);
+    restart.setPlan(config.plan);
+    auto app = factory();
+    app->setup(restart);
+    app->initialize(restart);
+    for (const auto& [id, bytes] : snapshot) restart.restoreObject(id, bytes);
+    const auto result = rt::Driver::run(*app, restart, restartIteration,
+                                        finalIteration * config.maxIterationFactor);
+    benchmark::DoNotOptimize(result.verification.metric);
+    window = restart.windowAccesses();
+  }
+  state.SetLabel(name);
+  state.counters["window_accesses"] = static_cast<double>(window);
+}
+BENCHMARK_CAPTURE(BM_Restart, cg, "cg")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Restart, mg, "mg")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Restart, ft, "ft")->Unit(benchmark::kMillisecond);
+
 // The large-footprint unlock, end to end. Arg 0: a fully-tracked golden run
 // of CG at 16x its bundled problem size — the fixed cost EVERY full-mode
 // campaign pays before its first trial, and the reason large footprints
@@ -373,13 +428,23 @@ void BM_LargeFootprintGolden(benchmark::State& state) {
   config.monitor.mode = sampled ? easycrash::crash::MonitorMode::Sampled
                                 : easycrash::crash::MonitorMode::Full;
   const auto factory = easycrash::apps::scaledBenchmarkFactory("cg", 16);
-  // Exactly the golden run a campaign performs in each mode (the monitor
-  // itself adds ~0.3 ns/access on top of the direct leg per
-  // BM_RegionMonitor, so the tracked-vs-direct contrast is the story).
+  // Exactly the golden run a campaign performs in each mode. The sampled
+  // leg attaches the region monitor as CampaignRunner::goldenRun does: a
+  // direct runtime without one would take the native state, which no
+  // sampled golden run uses.
+  ms::RegionMonitorConfig monitorConfig;
+  monitorConfig.seed = config.seed;
+  monitorConfig.sampleInterval = config.monitor.sampleInterval;
+  monitorConfig.maxRegionsPerObject = config.monitor.maxRegionsPerObject;
+  monitorConfig.aggregateEvery = config.monitor.aggregateEvery;
   std::uint64_t window = 0;
   for (auto _ : state) {
+    ms::RegionMonitor monitor(monitorConfig);
     easycrash::runtime::Runtime rt(config.cache);
-    if (sampled) rt.setDirect(true);
+    if (sampled) {
+      rt.setDirect(true);
+      rt.setMonitor(&monitor);
+    }
     auto app = factory();
     const auto result = easycrash::runtime::Driver::freshRun(*app, rt);
     benchmark::DoNotOptimize(result.finalIteration);

@@ -42,6 +42,17 @@ struct BenchmarkEntry {
 [[nodiscard]] runtime::AppFactory makeLulesh();
 [[nodiscard]] runtime::AppFactory makeKmeans();
 
+/// FT's acceptance constants: the direct-DFT reference checksum of every
+/// (iteration, sample) pair in checksum-array order, and the expected
+/// Parseval energy after the final iteration. Both derive from FT's
+/// LCG-generated initial spectrum alone, so every FT instance shares one
+/// copy computed on first use.
+struct FtReference {
+  std::vector<double> checksums;
+  double energy = 0.0;
+};
+[[nodiscard]] const FtReference& ftReference();
+
 // Scaled variants (`nvct --scale`): the factor multiplies the app's problem
 // size (grid edge for cg/mg, point count for kmeans); scale 1 is the exact
 // default instance. Only these three scale — their verify disciplines are

@@ -23,9 +23,11 @@ class NvmStore {
   /// served as zeros without allocating backing storage. Inline fast path:
   /// direct-mode runs (golden under sampled monitoring, restarts, demoted
   /// accesses) issue one of these per tracked element, so the fully-backed
-  /// common case must stay a bounds check + memcpy.
+  /// common case must stay a bounds check + memcpy. Empty spans (whose data
+  /// pointer may be null, which memcpy must never see) take the slow path.
   void read(std::uint64_t addr, std::span<std::uint8_t> dst) const {
-    if (addr <= image_.size() && dst.size() <= image_.size() - addr) [[likely]] {
+    if (!dst.empty() && addr <= image_.size() &&
+        dst.size() <= image_.size() - addr) [[likely]] {
       std::memcpy(dst.data(), image_.data() + addr, dst.size());
       return;
     }
@@ -50,7 +52,8 @@ class NvmStore {
   /// Same inline fast path rationale as read(): direct-mode and demoted
   /// stores land here once per tracked element.
   void poke(std::uint64_t addr, std::span<const std::uint8_t> src) {
-    if (addr <= image_.size() && src.size() <= image_.size() - addr) [[likely]] {
+    if (!src.empty() && addr <= image_.size() &&
+        src.size() <= image_.size() - addr) [[likely]] {
       std::memcpy(image_.data() + addr, src.data(), src.size());
       return;
     }
@@ -77,9 +80,20 @@ class NvmStore {
   [[nodiscard]] std::uint64_t imageBytes() const { return image_.size(); }
 
   /// Snapshot/restore the full value image (campaigns restore pristine state
-  /// between crash tests without re-running initialisation).
+  /// between crash tests without re-running initialisation). Restoring a
+  /// pinned image is a checked error.
   [[nodiscard]] std::vector<std::uint8_t> snapshotImage() const { return image_; }
   void restoreImage(std::vector<std::uint8_t> image);
+
+  /// Pin the image: materialise (zero-filled) at least `bytes` bytes and
+  /// return a pointer to byte 0 that stays valid until unpin(). While pinned
+  /// the image never reallocates — a write that would grow it, or
+  /// restoreImage(), fails an EC_CHECK — so a caller may memcpy against the
+  /// pointer directly (the runtime's native direct-mode accesses). Pinning
+  /// again grows the image first, so a pinned owner can follow a growing
+  /// footprint (the pointer may change).
+  [[nodiscard]] std::uint8_t* pin(std::uint64_t bytes);
+  void unpin() noexcept { pinned_ = false; }
 
   void resetCounters() { blockWrites_ = 0; }
 
@@ -92,6 +106,7 @@ class NvmStore {
   std::vector<std::uint8_t> image_;
   std::uint64_t blockWrites_ = 0;
   bool wearEnabled_ = false;
+  bool pinned_ = false;
   std::vector<std::uint64_t> wearProfile_;
 };
 

@@ -19,6 +19,7 @@ void NvmStore::ensure(std::uint64_t endAddr) {
   EC_CHECK_MSG(endAddr <= std::numeric_limits<std::uint64_t>::max() - kChunk,
                "NvmStore address range overflows");
   if (endAddr > image_.size()) {
+    EC_CHECK_MSG(!pinned_, "pinned NVM image cannot grow");
     const std::uint64_t target = (endAddr + kChunk - 1) / kChunk * kChunk;
     image_.resize(target, 0);
   }
@@ -65,7 +66,15 @@ void NvmStore::pokeSlow(std::uint64_t addr, std::span<const std::uint8_t> src) {
 }
 
 void NvmStore::restoreImage(std::vector<std::uint8_t> image) {
+  EC_CHECK_MSG(!pinned_, "cannot restore a pinned NVM image");
   image_ = std::move(image);
+}
+
+std::uint8_t* NvmStore::pin(std::uint64_t bytes) {
+  pinned_ = false;
+  ensure(std::max<std::uint64_t>(bytes, 1));
+  pinned_ = true;
+  return image_.data();
 }
 
 }  // namespace easycrash::memsim

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -18,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "easycrash/common/check.hpp"
 #include "easycrash/memsim/hierarchy.hpp"
 #include "easycrash/memsim/nvm_store.hpp"
 #include "easycrash/memsim/region_monitor.hpp"
@@ -81,37 +83,26 @@ class Runtime {
   // ---- Tracked access (the instrumented load/store path) --------------------
 
   /// Tracked load/store: one simulated access plus one crash-clock tick.
-  /// Inline so the memory system's header-level L1 fast path and the
-  /// crash-window guard stay visible to the instrumented app's loops.
-  void load(std::uint64_t addr, std::span<std::uint8_t> dst) {
-    if (direct_) {
-      nvm_.read(addr, dst);
-    } else if (routesDirect(addr)) {
-      nvm_.read(addr, dst);
-      hierarchy_.touchRange(addr, dst.size());
-    } else {
-      hierarchy_.load(addr, dst);
+  /// In the native state (see setDirect) either is one memcpy against the
+  /// pinned NVM image plus a pending-clock increment; that prefix is forced
+  /// inline into every instrumented loop, while the simulated remainder
+  /// keeps the compiler's inlining choice.
+  [[gnu::always_inline]] void load(std::uint64_t addr, std::span<std::uint8_t> dst) {
+    if (nativeCovers(addr, dst.size())) {
+      std::memcpy(dst.data(), native_ + addr, dst.size());
+      tickNative(1);
+      return;
     }
-    if (monitor_ != nullptr) {
-      monitor_->onRange(addr, static_cast<std::uint32_t>(dst.size()), 1,
-                        /*write=*/false);
-    }
-    onAccess(1);
+    loadSimulated(addr, dst);
   }
-  void store(std::uint64_t addr, std::span<const std::uint8_t> src) {
-    if (direct_) {
-      nvm_.poke(addr, src);
-    } else if (routesDirect(addr)) {
-      nvm_.poke(addr, src);
-      hierarchy_.touchRange(addr, src.size());
-    } else {
-      hierarchy_.store(addr, src);
+  [[gnu::always_inline]] void store(std::uint64_t addr,
+                                    std::span<const std::uint8_t> src) {
+    if (nativeCovers(addr, src.size())) {
+      std::memcpy(native_ + addr, src.data(), src.size());
+      tickNative(1);
+      return;
     }
-    if (monitor_ != nullptr) {
-      monitor_->onRange(addr, static_cast<std::uint32_t>(src.size()), 1,
-                        /*write=*/true);
-    }
-    onAccess(1);
+    storeSimulated(addr, src);
   }
   /// Bulk tracked access: move a whole span of `dst.size() / elemSize`
   /// logical elements in one call. Observationally identical to issuing the
@@ -123,10 +114,30 @@ class Runtime {
   /// also applies the triggering access before its clock tick). With the
   /// bulk fast path disabled (setBulk(false)) these literally lower to the
   /// element-wise loop. The span must be a whole number of elements.
+  /// In the native state the whole span is one memcpy and one clock
+  /// increment: with no trigger armed there is nothing to clamp against.
   void loadRange(std::uint64_t addr, std::span<std::uint8_t> dst,
-                 std::uint32_t elemSize);
+                 std::uint32_t elemSize) {
+    checkRange(dst.size(), elemSize);
+    if (dst.empty()) return;
+    if (bulk_ && nativeCovers(addr, dst.size())) {
+      std::memcpy(dst.data(), native_ + addr, dst.size());
+      tickNative(dst.size() / elemSize);
+      return;
+    }
+    loadRangeSimulated(addr, dst, elemSize);
+  }
   void storeRange(std::uint64_t addr, std::span<const std::uint8_t> src,
-                  std::uint32_t elemSize);
+                  std::uint32_t elemSize) {
+    checkRange(src.size(), elemSize);
+    if (src.empty()) return;
+    if (bulk_ && nativeCovers(addr, src.size())) {
+      std::memcpy(native_ + addr, src.data(), src.size());
+      tickNative(src.size() / elemSize);
+      return;
+    }
+    storeRangeSimulated(addr, src, elemSize);
+  }
 
   /// Architecturally-current value without counters or cache perturbation.
   void peek(std::uint64_t addr, std::span<std::uint8_t> dst) const;
@@ -134,13 +145,13 @@ class Runtime {
   void readNvm(std::uint64_t addr, std::span<std::uint8_t> dst) const;
 
   template <typename T>
-  [[nodiscard]] T loadValue(std::uint64_t addr) {
+  [[nodiscard, gnu::always_inline]] T loadValue(std::uint64_t addr) {
     T v{};
     load(addr, {reinterpret_cast<std::uint8_t*>(&v), sizeof(T)});
     return v;
   }
   template <typename T>
-  void storeValue(std::uint64_t addr, const T& v) {
+  [[gnu::always_inline]] void storeValue(std::uint64_t addr, const T& v) {
     store(addr, {reinterpret_cast<const std::uint8_t*>(&v), sizeof(T)});
   }
   /// Read-modify-write of one value: a tracked load, the mutation, and a
@@ -192,7 +203,9 @@ class Runtime {
   /// Iteration bookmark surviving in NVM (what a restart would see).
   [[nodiscard]] int bookmarkedIterationNvm() const;
 
-  [[nodiscard]] PointId activeRegion() const;
+  [[nodiscard]] PointId activeRegion() const {
+    return regionStack_.empty() ? kMainLoopEnd : regionStack_.back();
+  }
   [[nodiscard]] std::uint32_t regionCount() const { return regionCount_; }
   /// Declared by the application during setup (Table 1 "# of code regions").
   void declareRegionCount(std::uint32_t count) { regionCount_ = count; }
@@ -201,9 +214,12 @@ class Runtime {
   /// (region kMainLoopEnd collects accesses outside any region). Used to
   /// compute the paper's a_k time ratios. The hot-path counter is a flat
   /// vector indexed by point slot; this materialises the historical map view
-  /// (keys present iff the region was ever charged an access).
+  /// (keys present iff the region was ever charged an access). Accesses the
+  /// native state has not folded yet all belong to the active region.
   [[nodiscard]] std::map<PointId, std::uint64_t> regionAccesses() const {
-    return pointMapView(regionAccesses_);
+    auto view = pointMapView(regionAccesses_);
+    if (pending_ != 0) view[activeRegion()] += pending_;
+    return view;
   }
 
   /// Number of iteration-end persist points reached per region (and per
@@ -267,12 +283,16 @@ class Runtime {
     return unwindPath_.empty() ? regionStack_ : unwindPath_;
   }
   /// Crash window control: only accesses inside the window tick the clock
-  /// (the paper triggers crashes during the main computation loop).
+  /// (the paper triggers crashes during the main computation loop). A
+  /// boundary folds the native state's pending clock.
   void setCrashWindow(bool active) {
+    foldClock();
     crashWindowActive_ = active;
     if (monitor_ != nullptr) monitor_->setWindow(active);
   }
-  [[nodiscard]] std::uint64_t windowAccesses() const { return windowAccesses_; }
+  [[nodiscard]] std::uint64_t windowAccesses() const {
+    return windowAccesses_ + pending_;
+  }
 
   /// Simulate the power loss itself: drop all cache contents.
   void powerLoss();
@@ -285,11 +305,29 @@ class Runtime {
   /// cost of a run collapses to raw memory traffic. Restarts run in this
   /// mode: the paper's restarts execute natively on the machine under study;
   /// only the crashing run (whose cache-vs-NVM divergence is the object of
-  /// measurement) needs the hierarchy simulated. Crash-clock ticks, the
-  /// watchdog poll and armed crashes/captures behave identically in both
-  /// modes; MemEvents and NVM wear counters record (by design) nothing.
-  void setDirect(bool on) noexcept { direct_ = on; }
+  /// measurement) needs the hierarchy simulated. Crash-clock ticks and armed
+  /// crashes/captures/faults behave identically in both modes; MemEvents and
+  /// NVM wear counters record (by design) nothing.
+  ///
+  /// Native state: while direct mode runs with no monitor attached and no
+  /// crash, capture or fault armed, the runtime pins the NVM image to its
+  /// footprint and every tracked access is one memcpy against it. The crash
+  /// clock then accumulates as a pending count that is folded into
+  /// windowAccesses() and the active region's regionAccesses() entry at
+  /// beginRegion/endRegion/setCrashWindow and at least every kFoldEvery
+  /// window accesses — exact, because the active region only changes at
+  /// region boundaries (windowAccesses()/regionAccesses() include the
+  /// pending count at any instant). The state is derived, not configured:
+  /// setDirect, setMonitor, setDemotedNames, allocate and every arm/disarm
+  /// recompute it, and any trigger or monitor falls back to the per-access
+  /// path above. Only the watchdog poll's cadence differs (setCancelFlag).
+  void setDirect(bool on) {
+    direct_ = on;
+    refreshNative();
+  }
   [[nodiscard]] bool direct() const noexcept { return direct_; }
+  /// Whether the native state is in force right now (derived, see above).
+  [[nodiscard]] bool native() const noexcept { return nativeEnd_ != 0; }
 
   /// Bulk fast-path control: when off, loadRange/storeRange lower to the
   /// element-wise accesses they are equivalent to. The differential tests and
@@ -332,11 +370,15 @@ class Runtime {
 
   // ---- Cooperative cancellation (campaign watchdog) --------------------------
 
-  /// Install a cancellation flag polled by tracked accesses inside the crash
-  /// window; when it reads true the access throws TrialCancelled. nullptr
-  /// (the default) removes the check down to a single predictable branch;
-  /// -DEASYCRASH_WATCHDOG=OFF compiles the poll out of the access path
-  /// entirely. The pointee must outlive the runtime or a later reset call.
+  /// Install a cancellation flag polled inside the crash window; when it
+  /// reads true the poll throws TrialCancelled. Simulated and monitored runs
+  /// poll on every tracked access. The native state (setDirect) polls at its
+  /// clock folds instead — beginRegion and every kFoldEvery window accesses —
+  /// so a flipped flag throws within kFoldEvery accesses; endRegion folds
+  /// without polling because it runs in a noexcept destructor. nullptr (the
+  /// default) removes the check down to a single predictable branch;
+  /// -DEASYCRASH_WATCHDOG=OFF compiles the poll out of both paths entirely.
+  /// The pointee must outlive the runtime or a later reset call.
   void setCancelFlag(const std::atomic<bool>* flag) noexcept {
     if constexpr (kWatchdogCompiledIn) cancel_ = flag;
   }
@@ -370,7 +412,77 @@ class Runtime {
   [[nodiscard]] memsim::NvmStore& nvm() { return nvm_; }
   [[nodiscard]] const memsim::MemEvents& events() const { return hierarchy_.events(); }
 
+  /// Upper bound on window accesses between two native-state clock folds
+  /// (and therefore between two watchdog polls inside one region).
+  static constexpr std::uint64_t kFoldEvery = 4096;
+
  private:
+  /// True when the native state covers [addr, addr + bytes): one memcpy
+  /// against the pinned image serves the access. nativeEnd_ is 0 outside the
+  /// native state, so there this is false for every address.
+  [[nodiscard]] bool nativeCovers(std::uint64_t addr, std::uint64_t bytes) const {
+    return addr < nativeEnd_ && bytes <= nativeEnd_ - addr;
+  }
+  /// Native-state clock tick: a pending count, folded every kFoldEvery.
+  [[gnu::always_inline]] void tickNative(std::uint64_t count) {
+    if (!crashWindowActive_) return;
+    pending_ += count;
+    if (pending_ >= kFoldEvery) foldAndPoll();
+  }
+  /// Charge the pending native clock to the window and the active region.
+  void foldClock() noexcept {
+    windowAccesses_ += pending_;
+    regionAccesses_[pointSlot(activeRegion())] += pending_;
+    pending_ = 0;
+  }
+  void foldAndPoll();
+  void pollCancel() const;
+  /// Recompute the native state from direct/monitor/trigger state (folding
+  /// first, so the per-access path always starts from an exact clock).
+  void refreshNative();
+  static void checkRange(std::size_t bytes, std::uint32_t elemSize) {
+    EC_CHECK_MSG(elemSize > 0, "tracked range: zero element size");
+    EC_CHECK_MSG(bytes % elemSize == 0,
+                 "tracked range: span is not a whole number of elements");
+  }
+  /// The per-access path outside the native state. Inline so the memory
+  /// system's header-level L1 fast path and the crash-window guard stay
+  /// visible to the instrumented app's loops.
+  void loadSimulated(std::uint64_t addr, std::span<std::uint8_t> dst) {
+    if (direct_) {
+      nvm_.read(addr, dst);
+    } else if (routesDirect(addr)) {
+      nvm_.read(addr, dst);
+      hierarchy_.touchRange(addr, dst.size());
+    } else {
+      hierarchy_.load(addr, dst);
+    }
+    if (monitor_ != nullptr) {
+      monitor_->onRange(addr, static_cast<std::uint32_t>(dst.size()), 1,
+                        /*write=*/false);
+    }
+    onAccess(1);
+  }
+  void storeSimulated(std::uint64_t addr, std::span<const std::uint8_t> src) {
+    if (direct_) {
+      nvm_.poke(addr, src);
+    } else if (routesDirect(addr)) {
+      nvm_.poke(addr, src);
+      hierarchy_.touchRange(addr, src.size());
+    } else {
+      hierarchy_.store(addr, src);
+    }
+    if (monitor_ != nullptr) {
+      monitor_->onRange(addr, static_cast<std::uint32_t>(src.size()), 1,
+                        /*write=*/true);
+    }
+    onAccess(1);
+  }
+  void loadRangeSimulated(std::uint64_t addr, std::span<std::uint8_t> dst,
+                          std::uint32_t elemSize);
+  void storeRangeSimulated(std::uint64_t addr, std::span<const std::uint8_t> src,
+                           std::uint32_t elemSize);
+
   /// Crash-clock tick. Outside the crash window this is a single predictable
   /// branch; inside it the out-of-line slow path handles counting, the
   /// watchdog poll and crash injection.
@@ -467,6 +579,12 @@ class Runtime {
   bool crashWindowActive_ = false;
   bool direct_ = false;  ///< bypass the hierarchy, touch NVM bytes directly
   bool bulk_ = true;     ///< route loadRange/storeRange through the fast path
+
+  /// Native state (setDirect): the pinned NVM image, the footprint it covers
+  /// (0 = not native) and the window accesses not yet folded.
+  std::uint8_t* native_ = nullptr;
+  std::uint64_t nativeEnd_ = 0;
+  std::uint64_t pending_ = 0;
 
   /// Adaptive region monitor (sampled monitoring pre-pass) and the demoted
   /// routing bitmap (sampled crashing runs). Empty/null in full mode.

@@ -92,11 +92,41 @@ ObjectId Runtime::allocate(std::string name, std::uint64_t bytes, bool candidate
   // Block-align the next allocation so objects never share a cache block
   // (flushing one object must not persist another's bytes).
   nextAddr_ += (bytes + blockSize - 1) / blockSize * blockSize;
+  refreshNative();
   return info.id;
+}
+
+void Runtime::refreshNative() {
+  foldClock();
+  const bool native = direct_ && monitor_ == nullptr && crashAt_ == 0 &&
+                      faultAt_ == 0 && captureNext_ == kNoCapture;
+  if (native) {
+    native_ = nvm_.pin(nextAddr_);
+    nativeEnd_ = nextAddr_;
+  } else {
+    nvm_.unpin();
+    native_ = nullptr;
+    nativeEnd_ = 0;
+  }
+}
+
+void Runtime::foldAndPoll() {
+  foldClock();
+  pollCancel();
+}
+
+void Runtime::pollCancel() const {
+  if constexpr (kWatchdogCompiledIn) {
+    if (crashWindowActive_ && cancel_ != nullptr &&
+        cancel_->load(std::memory_order_relaxed)) {
+      throw TrialCancelled{windowAccesses()};
+    }
+  }
 }
 
 void Runtime::setMonitor(memsim::RegionMonitor* monitor) {
   monitor_ = monitor;
+  refreshNative();
   if (monitor_ == nullptr) return;
   monitor_->setWindow(crashWindowActive_);
   for (const auto& object : objects_) {
@@ -118,6 +148,7 @@ void Runtime::setDemotedNames(std::vector<std::string> names) {
     object.demoted = true;
     markDemoted(object);
   }
+  refreshNative();
 }
 
 void Runtime::markDemoted(const DataObjectInfo& info) {
@@ -150,11 +181,7 @@ std::vector<ObjectId> Runtime::candidateObjects() const {
 }
 
 void Runtime::onAccessSlow(std::uint64_t count) {
-  if constexpr (kWatchdogCompiledIn) {
-    if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
-      throw TrialCancelled{windowAccesses_};
-    }
-  }
+  pollCancel();
   const PointId region = activeRegion();
   regionAccesses_[pointSlot(region)] += count;
   windowAccesses_ += count;
@@ -202,12 +229,8 @@ void Runtime::readNvm(std::uint64_t addr, std::span<std::uint8_t> dst) const {
   nvm_.read(addr, dst);
 }
 
-void Runtime::loadRange(std::uint64_t addr, std::span<std::uint8_t> dst,
-                        std::uint32_t elemSize) {
-  EC_CHECK_MSG(elemSize > 0, "loadRange: zero element size");
-  EC_CHECK_MSG(dst.size() % elemSize == 0,
-               "loadRange: span is not a whole number of elements");
-  if (dst.empty()) return;
+void Runtime::loadRangeSimulated(std::uint64_t addr, std::span<std::uint8_t> dst,
+                                 std::uint32_t elemSize) {
   if (!bulk_) {
     for (std::uint64_t off = 0; off < dst.size(); off += elemSize) {
       load(addr + off, dst.subspan(off, elemSize));
@@ -239,12 +262,9 @@ void Runtime::loadRange(std::uint64_t addr, std::span<std::uint8_t> dst,
                     });
 }
 
-void Runtime::storeRange(std::uint64_t addr, std::span<const std::uint8_t> src,
-                         std::uint32_t elemSize) {
-  EC_CHECK_MSG(elemSize > 0, "storeRange: zero element size");
-  EC_CHECK_MSG(src.size() % elemSize == 0,
-               "storeRange: span is not a whole number of elements");
-  if (src.empty()) return;
+void Runtime::storeRangeSimulated(std::uint64_t addr,
+                                  std::span<const std::uint8_t> src,
+                                  std::uint32_t elemSize) {
   if (!bulk_) {
     for (std::uint64_t off = 0; off < src.size(); off += elemSize) {
       store(addr + off, src.subspan(off, elemSize));
@@ -308,6 +328,10 @@ double Runtime::inconsistentRate(ObjectId id) const {
 
 void Runtime::beginRegion(PointId region) {
   EC_CHECK(region >= 0);
+  // Region boundaries are the native clock's fold points: the pending count
+  // belongs to the enclosing region. Poll before pushing, so a cancelled
+  // RegionScope never half-constructs.
+  foldAndPoll();
   growPointSlots(pointSlot(region) + 1);
   regionStack_.push_back(region);
   RegionSpan span;
@@ -327,6 +351,8 @@ void Runtime::beginRegion(PointId region) {
 void Runtime::endRegion(PointId region) {
   EC_CHECK_MSG(!regionStack_.empty() && regionStack_.back() == region,
                "unbalanced region markers");
+  // Fold without polling: this runs in RegionScope's noexcept destructor.
+  foldClock();
   // When an exception unwinds through the region scopes, remember the stack
   // as the first (innermost) scope saw it: that is the throw site, and the
   // live stack will be empty by the time a harness-level catch can look.
@@ -399,10 +425,6 @@ int Runtime::bookmarkedIterationNvm() const {
   return v;
 }
 
-PointId Runtime::activeRegion() const {
-  return regionStack_.empty() ? kMainLoopEnd : regionStack_.back();
-}
-
 void Runtime::setPlan(PersistencePlan plan) {
   plan_ = std::move(plan);
   std::fill(pointCounters_.begin(), pointCounters_.end(), 0);
@@ -441,16 +463,20 @@ void Runtime::powerLoss() {
 
 void Runtime::armCrash(std::uint64_t accessIndex) {
   EC_CHECK_MSG(accessIndex > 0, "crash index is 1-based");
-  EC_CHECK_MSG(accessIndex > windowAccesses_, "crash point already passed");
+  EC_CHECK_MSG(accessIndex > windowAccesses(), "crash point already passed");
   crashAt_ = accessIndex;
+  refreshNative();
 }
 
-void Runtime::disarmCrash() { crashAt_ = 0; }
+void Runtime::disarmCrash() {
+  crashAt_ = 0;
+  refreshNative();
+}
 
 void Runtime::armCaptures(std::vector<std::uint64_t> indices, CaptureHook hook) {
   EC_CHECK_MSG(!indices.empty(), "armCaptures needs at least one index");
   EC_CHECK_MSG(static_cast<bool>(hook), "armCaptures needs a hook");
-  EC_CHECK_MSG(indices.front() > windowAccesses_, "capture point already passed");
+  EC_CHECK_MSG(indices.front() > windowAccesses(), "capture point already passed");
   EC_CHECK_MSG(std::is_sorted(indices.begin(), indices.end()) &&
                    std::adjacent_find(indices.begin(), indices.end()) == indices.end(),
                "capture indices must be strictly increasing");
@@ -458,19 +484,22 @@ void Runtime::armCaptures(std::vector<std::uint64_t> indices, CaptureHook hook) 
   captureCursor_ = 0;
   captureNext_ = captureAt_.front();
   captureHook_ = std::move(hook);
+  refreshNative();
 }
 
 void Runtime::armFault(std::uint64_t accessIndex, FaultHook hook) {
   EC_CHECK_MSG(accessIndex > 0, "fault index is 1-based");
-  EC_CHECK_MSG(accessIndex > windowAccesses_, "fault point already passed");
+  EC_CHECK_MSG(accessIndex > windowAccesses(), "fault point already passed");
   EC_CHECK_MSG(static_cast<bool>(hook), "armFault needs a hook");
   faultAt_ = accessIndex;
   faultHook_ = std::move(hook);
+  refreshNative();
 }
 
 void Runtime::disarmFault() {
   faultAt_ = 0;
   faultHook_ = nullptr;
+  refreshNative();
 }
 
 void Runtime::disarmCaptures() {
@@ -478,6 +507,7 @@ void Runtime::disarmCaptures() {
   captureCursor_ = 0;
   captureNext_ = kNoCapture;
   captureHook_ = nullptr;
+  refreshNative();
 }
 
 void Runtime::fireCaptures() {

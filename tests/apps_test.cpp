@@ -3,6 +3,7 @@
 // sequence (the crash-point clock depends on it), match its declared region
 // structure, and satisfy the paper's footprint >> LLC selection criterion.
 // App-specific numerics are spot-checked where a ground truth exists.
+#include <cmath>
 #include <memory>
 #include <set>
 
@@ -139,6 +140,75 @@ TEST(FtApp, ChecksumsMatchDirectDftEvaluation) {
   auto app = findBenchmark("ft").factory();
   const auto result = ec::runtime::Driver::freshRun(*app, rt);
   EXPECT_LT(result.verification.metric, 1e-8);
+}
+
+TEST(FtApp, ReferenceTableEqualsPerCallDftOverTrackedX0) {
+  // verify() reads its 40 reference checksums and the Parseval energy from a
+  // per-process table built from a host copy of x0. The reference below is
+  // the direct DFT verify() used to evaluate on every call, over tracked
+  // peeks of x0 after initialize(): the table must match it bit for bit.
+  constexpr int kN = 4096;
+  constexpr int kIterations = 10;
+  constexpr int kSamples = 4;
+  ec::runtime::Runtime rt;
+  auto app = findBenchmark("ft").factory();
+  app->setup(rt);
+  app->initialize(rt);
+  const auto peekX0 = [&](const char* name, int k) {
+    const auto& object = rt.object(*rt.findObject(name));
+    return rt.peekValue<double>(object.addr + static_cast<std::uint64_t>(k) * sizeof(double));
+  };
+  const auto decayPow = [](int i, int iteration) {
+    const int k = i < kN / 2 ? i : i - kN;
+    const double kk = static_cast<double>(k) / (kN / 2);
+    return std::exp(-0.15 * kk * kk * iteration);
+  };
+  const auto referenceChecksum = [&](int iteration, int q) {
+    double re = 0.0, im = 0.0;
+    for (int k = 0; k < kN; ++k) {
+      const double d = decayPow(k, iteration);
+      const double ang = 2.0 * M_PI * static_cast<double>(k) * q / kN;
+      const double wr = std::cos(ang), wi = std::sin(ang);
+      const double r0 = peekX0("x0_re", k) * d, i0 = peekX0("x0_im", k) * d;
+      re += r0 * wr - i0 * wi;
+      im += r0 * wi + i0 * wr;
+    }
+    const double scale = 1.0 / std::sqrt(static_cast<double>(kN));
+    return (re + im) * scale;
+  };
+  const ec::apps::FtReference& table = ec::apps::ftReference();
+  ASSERT_EQ(table.checksums.size(), static_cast<std::size_t>(kIterations * kSamples));
+  for (int it = 1; it <= kIterations; ++it) {
+    for (int s = 0; s < kSamples; ++s) {
+      EXPECT_EQ(table.checksums[static_cast<std::size_t>((it - 1) * kSamples + s)],
+                referenceChecksum(it, (s * 131 + 17) % kN))
+          << "iteration " << it << " sample " << s;
+    }
+  }
+  double expectedEnergy = 0.0;
+  for (int i = 0; i < kN; ++i) {
+    const double d = decayPow(i, kIterations);
+    const double r0 = peekX0("x0_re", i), i0 = peekX0("x0_im", i);
+    expectedEnergy += (r0 * r0 + i0 * i0) * d * d;
+  }
+  EXPECT_EQ(table.energy, expectedEnergy);
+}
+
+TEST(FtApp, SecondInstanceVerifiesToTheSameMetric) {
+  // The table is shared by every FtApp in the process; a second instance
+  // (as a campaign's restarts create) must verify exactly like the first.
+  const auto run = [] {
+    ec::runtime::Runtime rt;
+    rt.setDirect(true);
+    auto app = findBenchmark("ft").factory();
+    return ec::runtime::Driver::freshRun(*app, rt).verification;
+  };
+  const auto first = run();
+  const auto second = run();
+  EXPECT_TRUE(first.pass) << first.detail;
+  EXPECT_EQ(first.pass, second.pass);
+  EXPECT_EQ(first.metric, second.metric);
+  EXPECT_EQ(first.detail, second.detail);
 }
 
 TEST(LuApp, TrackedRunMatchesHostReplayBitwise) {

@@ -1,9 +1,10 @@
 // Tests for the tracked-memory runtime: object registry, tracked accessors,
 // persistence API, region markers, plan execution and crash injection.
+#include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <span>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -458,37 +459,187 @@ TEST(TrackedArrayBulk, CapturesFireMidRangeWithElementwiseState) {
 
 TEST(TrackedArrayBulk, DirectModeBulkOnOffIdentical) {
   // Restarts run in direct-access mode (the NVM image IS the architectural
-  // state): the bulk path must produce the same bytes, clock ticks and
-  // crash-index semantics there too.
-  const auto drive = [](bool bulkOn) {
+  // state), and with nothing armed a direct runtime is in the native state:
+  // one memcpy per access, the crash clock a pending count folded at region
+  // boundaries. Scalar and range accesses there must give the same bytes,
+  // clock ticks and region counts as the simulated hierarchy — also read
+  // mid-region, before any fold — and a crash armed mid-run must leave the
+  // native state and fire at the element-wise index, bulk path on or off.
+  struct Outcome {
+    bool nativeBeforeArm = false;
+    bool nativeAfterArm = true;
+    std::uint64_t midWindow = 0;
+    std::map<rt::PointId, std::uint64_t> midRegions;
+    std::uint64_t crashedAt = 0;
+    std::uint64_t window = 0;
+    std::map<rt::PointId, std::uint64_t> regions;
+    std::map<rt::PointId, std::uint64_t> iterationEnds;
+    std::vector<std::uint8_t> current;
+    std::vector<std::uint8_t> nvm;
+  };
+  const auto drive = [](bool direct, bool bulkOn) {
     auto runtime = makeRuntime();
-    runtime.setDirect(true);
+    runtime.setDirect(direct);
     runtime.setBulk(bulkOn);
     rt::TrackedArray<double> a(runtime, "a", 20, true);
+    rt::TrackedArray<double> b(runtime, "b", 100, true);
+    Outcome out;
     runtime.setCrashWindow(true);
-    runtime.armCrash(7);
+    b.fill(0.5);  // 100 range ticks outside any region
+    {
+      rt::RegionScope region(runtime, 0);
+      for (int i = 0; i < 20; ++i) b[i] += 1.0;  // 40 scalar ticks
+      out.midWindow = runtime.windowAccesses();
+      out.midRegions = runtime.regionAccesses();
+      region.iterationEnd();
+      {
+        rt::RegionScope inner(runtime, 1);
+        std::vector<double> tmp(50);
+        b.readRange(50, 50, tmp.data());  // 50 range ticks
+      }
+      (void)b.get(0);  // back in region 0 after the inner region
+    }
+    out.nativeBeforeArm = runtime.native();
+    const std::uint64_t base = runtime.windowAccesses();
+    runtime.armCrash(base + 7);
+    out.nativeAfterArm = runtime.native();
     std::vector<double> src(20, 5.5);
-    std::uint64_t crashedAt = 0;
     try {
+      rt::RegionScope region(runtime, 2);
       a.writeRange(0, 20, src.data());
     } catch (const rt::CrashEvent& crash) {
-      crashedAt = crash.accessIndex;
+      out.crashedAt = crash.accessIndex - base;
     }
-    return std::tuple{crashedAt, runtime.windowAccesses(),
-                      runtime.dumpObjectNvm(a.id())};
+    out.window = runtime.windowAccesses();
+    out.regions = runtime.regionAccesses();
+    out.iterationEnds = runtime.regionIterationEnds();
+    out.current = runtime.dumpObjectCurrent(a.id());
+    out.nvm = runtime.dumpObjectNvm(a.id());
+    return out;
   };
-  const auto [crashOn, ticksOn, nvmOn] = drive(true);
-  const auto [crashOff, ticksOff, nvmOff] = drive(false);
-  EXPECT_EQ(crashOn, 7u);
-  EXPECT_EQ(crashOn, crashOff);
-  EXPECT_EQ(ticksOn, ticksOff);
-  EXPECT_EQ(nvmOn, nvmOff) << "direct-mode NVM bytes must match across modes";
+  const Outcome on = drive(/*direct=*/true, /*bulkOn=*/true);
+  const Outcome off = drive(/*direct=*/true, /*bulkOn=*/false);
+  const Outcome simulated = drive(/*direct=*/false, /*bulkOn=*/true);
+  EXPECT_TRUE(on.nativeBeforeArm);
+  EXPECT_TRUE(off.nativeBeforeArm);
+  EXPECT_FALSE(simulated.nativeBeforeArm);
+  EXPECT_FALSE(on.nativeAfterArm) << "an armed crash must leave the native state";
+  EXPECT_EQ(on.crashedAt, 7u);
+  EXPECT_EQ(on.midWindow, 140u);
+  EXPECT_EQ(on.midRegions.at(0), 40u) << "pending ticks belong to the active region";
+  EXPECT_EQ(on.regions.at(rt::kMainLoopEnd), 100u);
+  EXPECT_EQ(on.regions.at(0), 41u);
+  EXPECT_EQ(on.regions.at(1), 50u);
+  EXPECT_EQ(on.regions.at(2), 7u);
+  EXPECT_EQ(on.window, 198u);
+  for (const Outcome* other : {&off, &simulated}) {
+    EXPECT_EQ(other->midWindow, on.midWindow);
+    EXPECT_EQ(other->midRegions, on.midRegions);
+    EXPECT_EQ(other->crashedAt, on.crashedAt);
+    EXPECT_EQ(other->window, on.window);
+    EXPECT_EQ(other->regions, on.regions);
+    EXPECT_EQ(other->iterationEnds, on.iterationEnds);
+    EXPECT_EQ(other->current, on.current) << "architectural bytes must match";
+  }
+  EXPECT_EQ(on.nvm, off.nvm) << "direct-mode NVM bytes must match across modes";
   // Elements 0..6 were applied before the crash (direct mode pokes NVM).
   double v = 0.0;
-  std::memcpy(&v, nvmOn.data() + 6 * sizeof(double), sizeof(double));
+  std::memcpy(&v, on.nvm.data() + 6 * sizeof(double), sizeof(double));
   EXPECT_DOUBLE_EQ(v, 5.5);
-  std::memcpy(&v, nvmOn.data() + 7 * sizeof(double), sizeof(double));
+  std::memcpy(&v, on.nvm.data() + 7 * sizeof(double), sizeof(double));
   EXPECT_DOUBLE_EQ(v, 0.0);
+}
+
+TEST(NativeClock, CapturesAndFaultArmedMidRunFireAtExactIndex) {
+  auto runtime = makeRuntime();
+  runtime.setDirect(true);
+  rt::TrackedArray<double> a(runtime, "a", 64, true);
+  runtime.setCrashWindow(true);
+  rt::RegionScope region(runtime, 0);
+  for (int i = 0; i < 10; ++i) a.set(40 + i, 1.0);  // pending, not yet folded
+  ASSERT_TRUE(runtime.native());
+  const std::uint64_t base = runtime.windowAccesses();
+  ASSERT_EQ(base, 10u);
+  std::vector<std::uint64_t> captured;
+  runtime.armCaptures({base + 3, base + 20}, [&](const rt::CrashEvent& at) {
+    captured.push_back(at.accessIndex);
+    // Window index base + k stores element k - 1 of the range below.
+    EXPECT_DOUBLE_EQ(a.peek(at.accessIndex - base - 1), 2.0);
+    EXPECT_DOUBLE_EQ(a.peek(at.accessIndex - base), 0.0);
+  });
+  EXPECT_FALSE(runtime.native()) << "armed captures must leave the native state";
+  std::uint64_t faultAt = 0;
+  runtime.armFault(base + 12, [&] { faultAt = runtime.windowAccesses(); });
+  std::vector<double> src(30, 2.0);
+  a.writeRange(0, 30, src.data());
+  EXPECT_EQ(captured, (std::vector<std::uint64_t>{base + 3, base + 20}));
+  EXPECT_EQ(faultAt, base + 12);
+  runtime.disarmCaptures();
+  EXPECT_TRUE(runtime.native())
+      << "with the fault spent and the captures disarmed the native state returns";
+  (void)a.get(0);
+  EXPECT_EQ(runtime.windowAccesses(), base + 31);
+  EXPECT_EQ(runtime.regionAccesses().at(0), base + 31);
+}
+
+TEST(NativeClock, WatchdogThrowsWithinOneFoldInsideARegion) {
+  auto runtime = makeRuntime();
+  runtime.setDirect(true);
+  rt::TrackedArray<double> a(runtime, "a", 64, true);
+  std::atomic<bool> cancel{false};
+  runtime.setCancelFlag(&cancel);
+  runtime.setCrashWindow(true);
+  ASSERT_TRUE(runtime.native());
+  std::uint64_t afterFlip = 0;
+  bool cancelled = false;
+  try {
+    // One region with no inner boundaries: only the fold cadence can poll.
+    rt::RegionScope region(runtime, 0);
+    for (int i = 0; i < 1000; ++i) a.set(i % 64, 1.0);
+    cancel.store(true);
+    for (std::uint64_t i = 0; i < 4 * rt::Runtime::kFoldEvery; ++i) {
+      ++afterFlip;
+      (void)a.get(i % 64);
+    }
+  } catch (const rt::TrialCancelled& cancelledAt) {
+    cancelled = true;
+    EXPECT_EQ(cancelledAt.accessIndex, runtime.windowAccesses());
+  }
+  if constexpr (rt::kWatchdogCompiledIn) {
+    EXPECT_TRUE(cancelled);
+    EXPECT_GE(afterFlip, 1u);
+    EXPECT_LE(afterFlip, rt::Runtime::kFoldEvery);
+  } else {
+    EXPECT_FALSE(cancelled) << "the poll compiles out with the watchdog";
+  }
+  EXPECT_EQ(runtime.regionAccesses().at(0), runtime.windowAccesses());
+}
+
+TEST(NativeClock, EndRegionNeverThrowsWhileUnwinding) {
+  // A flipped watchdog flag must not turn an application exception into a
+  // TrialCancelled (or std::terminate) as RegionScope destructors fold the
+  // pending clock during unwinding.
+  auto runtime = makeRuntime();
+  runtime.setDirect(true);
+  rt::TrackedArray<double> a(runtime, "a", 64, true);
+  std::atomic<bool> cancel{false};
+  runtime.setCancelFlag(&cancel);
+  runtime.setCrashWindow(true);
+  bool interrupted = false;
+  try {
+    rt::RegionScope outer(runtime, 0);
+    rt::RegionScope inner(runtime, 1);
+    for (int i = 0; i < 10; ++i) a.set(i, 1.0);
+    cancel.store(true);
+    throw rt::AppInterrupt{"diverged"};
+  } catch (const rt::AppInterrupt& interrupt) {
+    interrupted = true;
+    EXPECT_EQ(interrupt.reason, "diverged");
+  }
+  EXPECT_TRUE(interrupted);
+  EXPECT_EQ(runtime.regionAccesses().at(1), 10u);
+  EXPECT_EQ(runtime.windowAccesses(), 10u);
+  EXPECT_EQ(runtime.throwRegionPath(), (std::vector<rt::PointId>{0, 1}));
 }
 
 TEST(TrackedArrayBulk, BulkOffLowersToIdenticalObservables) {
