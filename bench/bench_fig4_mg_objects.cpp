@@ -9,6 +9,7 @@
 
 #include "bench_common.hpp"
 #include "easycrash/common/check.hpp"
+#include "easycrash/crash/report.hpp"
 #include "easycrash/runtime/runtime.hpp"
 
 namespace ec = easycrash;
@@ -63,10 +64,10 @@ int main(int argc, char** argv) {
   const auto golden = ec::crash::CampaignRunner(mg.factory, base).goldenRun();
   ec::Table regionTable({"Persist u at", "Recomputability"});
   for (std::uint32_t region = 0; region < golden.regionCount; ++region) {
-    const auto plan = ec::bench::atRegionEndPlan(
-        golden, static_cast<ec::runtime::PointId>(region), {*uId});
+    const auto point = static_cast<ec::runtime::PointId>(region);
+    const auto plan = ec::bench::atRegionEndPlan(golden, point, {*uId});
     regionTable.row()
-        .cell("R" + std::to_string(region + 1))
+        .cell(ec::crash::formatRegion(point))
         .cellPercent(recomputabilityUnderPlan(mg.factory, base, plan));
   }
   regionTable.row().cell("main-loop end").cellPercent(recomputabilityUnderPlan(

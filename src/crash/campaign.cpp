@@ -1,24 +1,17 @@
 #include "easycrash/crash/campaign.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <csignal>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <iostream>
 #include <memory>
 #include <mutex>
-#include <new>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -29,7 +22,6 @@
 #include "easycrash/crash/report.hpp"
 #include "easycrash/crash/resilience.hpp"
 #include "easycrash/crash/status.hpp"
-#include "easycrash/crash/worker_pool.hpp"
 #include "easycrash/runtime/runtime.hpp"
 #include "easycrash/telemetry/log.hpp"
 #include "easycrash/telemetry/metrics.hpp"
@@ -38,149 +30,91 @@
 #include "easycrash/telemetry/timer.hpp"
 #include "easycrash/telemetry/trace.hpp"
 
+#include "trial_executor.hpp"
+
 namespace easycrash::crash {
 
 using runtime::CrashEvent;
 using runtime::Driver;
 using runtime::Runtime;
 
+CampaignMetrics& CampaignMetrics::get() {
+  auto& reg = telemetry::MetricsRegistry::instance();
+  static CampaignMetrics m{
+      reg.counter("memsim.loads"),
+      reg.counter("memsim.stores"),
+      reg.counter("memsim.nvmBlockReads"),
+      reg.counter("memsim.nvmBlockWrites"),
+      reg.counter("memsim.flushDirty"),
+      reg.counter("memsim.flushClean"),
+      reg.counter("memsim.flushNonResident"),
+      reg.counter("memsim.flushInducedNvmWrites"),
+      reg.counter("memsim.range_loads"),
+      reg.counter("memsim.range_stores"),
+      reg.counter("memsim.range_split_blocks"),
+      reg.counter("campaign.range_accesses"),
+      reg.counter("memsim.postmortem_blocks_skipped"),
+      reg.counter("memsim.postmortem_blocks_compared"),
+      reg.counter("memsim.postmortem_bytes_compared"),
+      reg.counter("memsim.region_samples"),
+      reg.counter("memsim.region_splits"),
+      reg.counter("memsim.region_merges"),
+      reg.counter("campaign.monitor_runs"),
+      reg.counter("campaign.monitor_demoted_objects"),
+      reg.counter("campaign.monitor_demoted_bytes"),
+      reg.counter("campaign.monitor_tracked_objects"),
+      reg.counter("campaign.trials"),
+      {&reg.counter("campaign.responses.s1"), &reg.counter("campaign.responses.s2"),
+       &reg.counter("campaign.responses.s3"), &reg.counter("campaign.responses.s4")},
+      reg.histogram("campaign.trial_us",
+                    telemetry::Histogram::exponentialBounds(100.0, 4.0, 12)),
+      reg.counter("campaign.trial_failures"),
+      reg.counter("campaign.trial_retries"),
+      reg.counter("campaign.trial_timeouts"),
+      reg.counter("campaign.resumed_trials"),
+      reg.counter("campaign.shard_owned_trials"),
+      reg.counter("campaign.sweep_runs"),
+      reg.counter("campaign.sweep_captures"),
+      reg.counter("campaign.sweep_fallbacks"),
+      reg.counter("campaign.worker_spawns"),
+      reg.counter("campaign.worker_crashes"),
+      reg.counter("campaign.worker_kills"),
+      reg.counter("campaign.worker_respawns"),
+      reg.histogram("campaign.retry_backoff_ms",
+                    telemetry::Histogram::exponentialBounds(1.0, 2.0, 12)),
+      reg.histogram("campaign.crash_run_us",
+                    telemetry::Histogram::exponentialBounds(50.0, 4.0, 12)),
+      reg.histogram("campaign.postmortem_us",
+                    telemetry::Histogram::exponentialBounds(10.0, 4.0, 12)),
+      reg.histogram("campaign.restart_us",
+                    telemetry::Histogram::exponentialBounds(50.0, 4.0, 12)),
+      reg.gauge("campaign.sweep_queue_depth")};
+  return m;
+}
+
+void CampaignMetrics::recordRun(const memsim::MemEvents& ev) {
+  loads.add(ev.loads);
+  stores.add(ev.stores);
+  nvmBlockReads.add(ev.nvmBlockReads);
+  nvmBlockWrites.add(ev.nvmBlockWrites);
+  flushDirty.add(ev.flushDirty);
+  flushClean.add(ev.flushClean);
+  flushNonResident.add(ev.flushNonResident);
+  flushInducedNvmWrites.add(ev.flushInducedNvmWrites);
+  // Diagnostics of the bulk fast path (call counts, not logical accesses):
+  // zero when --bulk off, so they never feed equivalence comparisons.
+  rangeLoads.add(ev.rangeLoads);
+  rangeStores.add(ev.rangeStores);
+  rangeSplitBlocks.add(ev.rangeSplitBlocks);
+  rangeAccesses.add(ev.rangeLoads + ev.rangeStores);
+  // Diagnostics of the post-mortem scan fast path: zero when --scan off,
+  // so they never feed equivalence comparisons either.
+  postmortemBlocksSkipped.add(ev.postmortemBlocksSkipped);
+  postmortemBlocksCompared.add(ev.postmortemBlocksCompared);
+  postmortemBytesCompared.add(ev.postmortemBytesCompared);
+}
+
 namespace {
-
-/// Mirrors of the MemEvents counters, accumulated over every run a campaign
-/// simulates (golden + each trial's crashing and restart runs). These are
-/// the `memsim.*` counters in --metrics-out; their names match the
-/// MemEvents fields so a metrics snapshot correlates 1:1 with Table 4.
-struct CampaignMetrics {
-  telemetry::Counter& loads;
-  telemetry::Counter& stores;
-  telemetry::Counter& nvmBlockReads;
-  telemetry::Counter& nvmBlockWrites;
-  telemetry::Counter& flushDirty;
-  telemetry::Counter& flushClean;
-  telemetry::Counter& flushNonResident;
-  telemetry::Counter& flushInducedNvmWrites;
-  telemetry::Counter& rangeLoads;
-  telemetry::Counter& rangeStores;
-  telemetry::Counter& rangeSplitBlocks;
-  telemetry::Counter& rangeAccesses;
-  telemetry::Counter& postmortemBlocksSkipped;
-  telemetry::Counter& postmortemBlocksCompared;
-  telemetry::Counter& postmortemBytesCompared;
-  /// Adaptive region monitor (sampled mode only; all zero under --monitor
-  /// full, so they never feed equivalence comparisons).
-  telemetry::Counter& regionSamples;
-  telemetry::Counter& regionSplits;
-  telemetry::Counter& regionMerges;
-  telemetry::Counter& monitorRuns;
-  telemetry::Counter& monitorDemotedObjects;
-  telemetry::Counter& monitorDemotedBytes;
-  telemetry::Counter& monitorTrackedObjects;
-  telemetry::Counter& trials;
-  std::array<telemetry::Counter*, 4> responses;
-  telemetry::Histogram& trialUs;
-  telemetry::Counter& trialFailures;
-  telemetry::Counter& trialRetries;
-  telemetry::Counter& trialTimeouts;
-  telemetry::Counter& resumedTrials;
-  /// Sharded campaigns (--shard i/k): trials this shard owns out of the
-  /// campaign's planned N. Zero when unsharded, so it never feeds
-  /// equivalence comparisons.
-  telemetry::Counter& shardOwnedTrials;
-  telemetry::Counter& sweepRuns;
-  telemetry::Counter& sweepCaptures;
-  telemetry::Counter& sweepFallbacks;
-  /// Fork evaluator: worker forks (initial + respawns), deaths the campaign
-  /// consumed (split kill vs crash/oom/protocol), and respawns alone.
-  telemetry::Counter& workerSpawns;
-  telemetry::Counter& workerCrashes;
-  telemetry::Counter& workerKills;
-  telemetry::Counter& workerRespawns;
-  /// Backoff slept between trial retries (resilience.retryBackoffMs).
-  telemetry::Histogram& retryBackoff;
-  /// Flight-recorder phase latencies (telemetry::PhaseSpan): the crashing
-  /// run up to the armed crash, the S1–S4 post-mortem capture, the restart.
-  telemetry::Histogram& crashRunUs;
-  telemetry::Histogram& postmortemUs;
-  telemetry::Histogram& restartUs;
-  /// Live depth of the sweep's restart hand-off queue.
-  telemetry::Gauge& sweepQueueDepth;
-
-  static CampaignMetrics& get() {
-    auto& reg = telemetry::MetricsRegistry::instance();
-    static CampaignMetrics m{
-        reg.counter("memsim.loads"),
-        reg.counter("memsim.stores"),
-        reg.counter("memsim.nvmBlockReads"),
-        reg.counter("memsim.nvmBlockWrites"),
-        reg.counter("memsim.flushDirty"),
-        reg.counter("memsim.flushClean"),
-        reg.counter("memsim.flushNonResident"),
-        reg.counter("memsim.flushInducedNvmWrites"),
-        reg.counter("memsim.range_loads"),
-        reg.counter("memsim.range_stores"),
-        reg.counter("memsim.range_split_blocks"),
-        reg.counter("campaign.range_accesses"),
-        reg.counter("memsim.postmortem_blocks_skipped"),
-        reg.counter("memsim.postmortem_blocks_compared"),
-        reg.counter("memsim.postmortem_bytes_compared"),
-        reg.counter("memsim.region_samples"),
-        reg.counter("memsim.region_splits"),
-        reg.counter("memsim.region_merges"),
-        reg.counter("campaign.monitor_runs"),
-        reg.counter("campaign.monitor_demoted_objects"),
-        reg.counter("campaign.monitor_demoted_bytes"),
-        reg.counter("campaign.monitor_tracked_objects"),
-        reg.counter("campaign.trials"),
-        {&reg.counter("campaign.responses.s1"), &reg.counter("campaign.responses.s2"),
-         &reg.counter("campaign.responses.s3"), &reg.counter("campaign.responses.s4")},
-        reg.histogram("campaign.trial_us",
-                      telemetry::Histogram::exponentialBounds(100.0, 4.0, 12)),
-        reg.counter("campaign.trial_failures"),
-        reg.counter("campaign.trial_retries"),
-        reg.counter("campaign.trial_timeouts"),
-        reg.counter("campaign.resumed_trials"),
-        reg.counter("campaign.shard_owned_trials"),
-        reg.counter("campaign.sweep_runs"),
-        reg.counter("campaign.sweep_captures"),
-        reg.counter("campaign.sweep_fallbacks"),
-        reg.counter("campaign.worker_spawns"),
-        reg.counter("campaign.worker_crashes"),
-        reg.counter("campaign.worker_kills"),
-        reg.counter("campaign.worker_respawns"),
-        reg.histogram("campaign.retry_backoff_ms",
-                      telemetry::Histogram::exponentialBounds(1.0, 2.0, 12)),
-        reg.histogram("campaign.crash_run_us",
-                      telemetry::Histogram::exponentialBounds(50.0, 4.0, 12)),
-        reg.histogram("campaign.postmortem_us",
-                      telemetry::Histogram::exponentialBounds(10.0, 4.0, 12)),
-        reg.histogram("campaign.restart_us",
-                      telemetry::Histogram::exponentialBounds(50.0, 4.0, 12)),
-        reg.gauge("campaign.sweep_queue_depth")};
-    return m;
-  }
-
-  void recordRun(const memsim::MemEvents& ev) {
-    loads.add(ev.loads);
-    stores.add(ev.stores);
-    nvmBlockReads.add(ev.nvmBlockReads);
-    nvmBlockWrites.add(ev.nvmBlockWrites);
-    flushDirty.add(ev.flushDirty);
-    flushClean.add(ev.flushClean);
-    flushNonResident.add(ev.flushNonResident);
-    flushInducedNvmWrites.add(ev.flushInducedNvmWrites);
-    // Diagnostics of the bulk fast path (call counts, not logical accesses):
-    // zero when --bulk off, so they never feed equivalence comparisons.
-    rangeLoads.add(ev.rangeLoads);
-    rangeStores.add(ev.rangeStores);
-    rangeSplitBlocks.add(ev.rangeSplitBlocks);
-    rangeAccesses.add(ev.rangeLoads + ev.rangeStores);
-    // Diagnostics of the post-mortem scan fast path: zero when --scan off,
-    // so they never feed equivalence comparisons either.
-    postmortemBlocksSkipped.add(ev.postmortemBlocksSkipped);
-    postmortemBlocksCompared.add(ev.postmortemBlocksCompared);
-    postmortemBytesCompared.add(ev.postmortemBytesCompared);
-  }
-};
 
 /// One queued restart: a trial index plus its (possibly shared, when several
 /// trials drew the same crash point) read-only capture.
@@ -248,433 +182,6 @@ class RestartQueue {
   bool aborted_ = false;
 };
 
-// ---- Fork evaluator wire protocol ------------------------------------------
-//
-// Requests (parent -> worker):  'T' whole trial {trial, crashIndex}
-//                               'R' restart only {trial, capture}
-//                               'S' sweep {n, n x (index, trialCount)}
-//                               'A' ack of one streamed sweep capture
-// Responses (worker -> parent): 'r' trial/restart result
-//                               'c' one streamed sweep capture (await 'A')
-//                               'e' sweep end
-// Integers are little-endian; snapshot payloads ride the slot's shared
-// arena when they fit (the common case — the arena is sized off the app's
-// candidate bytes) and fall back to inline frame bytes when they don't.
-
-class WireWriter {
- public:
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
-  void str(const std::string& s) {
-    u64(s.size());
-    buf_.append(s);
-  }
-  void raw(const void* data, std::size_t len) {
-    buf_.append(static_cast<const char*>(data), len);
-  }
-  [[nodiscard]] std::string take() { return std::move(buf_); }
-
- private:
-  std::string buf_;
-};
-
-/// Bounds-checked reader over one received frame. Every overrun throws — the
-/// campaign maps a malformed frame to a protocol worker death.
-class WireReader {
- public:
-  explicit WireReader(const std::string& buf) : buf_(buf) {}
-
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(buf_[pos_++]);
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(buf_[pos_++])) << (8 * i);
-    }
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(buf_[pos_++])) << (8 * i);
-    }
-    return v;
-  }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-  std::string str() {
-    const std::uint64_t len = u64();
-    need(len);
-    std::string out(buf_.data() + pos_, static_cast<std::size_t>(len));
-    pos_ += static_cast<std::size_t>(len);
-    return out;
-  }
-  void raw(void* out, std::size_t len) {
-    need(len);
-    std::memcpy(out, buf_.data() + pos_, len);
-    pos_ += len;
-  }
-
- private:
-  void need(std::uint64_t n) const {
-    if (n > buf_.size() - pos_) {
-      throw std::runtime_error("wire: truncated frame");
-    }
-  }
-
-  const std::string& buf_;
-  std::size_t pos_ = 0;
-};
-
-void addEvents(memsim::MemEvents& total, const memsim::MemEvents& run) {
-  total.loads += run.loads;
-  total.stores += run.stores;
-  for (std::size_t i = 0; i < memsim::kMaxLevels; ++i) {
-    total.hits[i] += run.hits[i];
-    total.misses[i] += run.misses[i];
-  }
-  total.nvmBlockReads += run.nvmBlockReads;
-  total.nvmBlockWrites += run.nvmBlockWrites;
-  total.flushDirty += run.flushDirty;
-  total.flushClean += run.flushClean;
-  total.flushNonResident += run.flushNonResident;
-  total.flushInducedNvmWrites += run.flushInducedNvmWrites;
-  total.rangeLoads += run.rangeLoads;
-  total.rangeStores += run.rangeStores;
-  total.rangeSplitBlocks += run.rangeSplitBlocks;
-  total.postmortemBlocksSkipped += run.postmortemBlocksSkipped;
-  total.postmortemBlocksCompared += run.postmortemBlocksCompared;
-  total.postmortemBytesCompared += run.postmortemBytesCompared;
-}
-
-void encodeEvents(WireWriter& w, const memsim::MemEvents& ev) {
-  w.u64(ev.loads);
-  w.u64(ev.stores);
-  for (std::size_t i = 0; i < memsim::kMaxLevels; ++i) w.u64(ev.hits[i]);
-  for (std::size_t i = 0; i < memsim::kMaxLevels; ++i) w.u64(ev.misses[i]);
-  w.u64(ev.nvmBlockReads);
-  w.u64(ev.nvmBlockWrites);
-  w.u64(ev.flushDirty);
-  w.u64(ev.flushClean);
-  w.u64(ev.flushNonResident);
-  w.u64(ev.flushInducedNvmWrites);
-  w.u64(ev.rangeLoads);
-  w.u64(ev.rangeStores);
-  w.u64(ev.rangeSplitBlocks);
-  w.u64(ev.postmortemBlocksSkipped);
-  w.u64(ev.postmortemBlocksCompared);
-  w.u64(ev.postmortemBytesCompared);
-}
-
-memsim::MemEvents decodeEvents(WireReader& r) {
-  memsim::MemEvents ev;
-  ev.loads = r.u64();
-  ev.stores = r.u64();
-  for (std::size_t i = 0; i < memsim::kMaxLevels; ++i) ev.hits[i] = r.u64();
-  for (std::size_t i = 0; i < memsim::kMaxLevels; ++i) ev.misses[i] = r.u64();
-  ev.nvmBlockReads = r.u64();
-  ev.nvmBlockWrites = r.u64();
-  ev.flushDirty = r.u64();
-  ev.flushClean = r.u64();
-  ev.flushNonResident = r.u64();
-  ev.flushInducedNvmWrites = r.u64();
-  ev.rangeLoads = r.u64();
-  ev.rangeStores = r.u64();
-  ev.rangeSplitBlocks = r.u64();
-  ev.postmortemBlocksSkipped = r.u64();
-  ev.postmortemBlocksCompared = r.u64();
-  ev.postmortemBytesCompared = r.u64();
-  return ev;
-}
-
-void encodeProfile(WireWriter& w, const CampaignProfile& p) {
-  w.u32(p.strideBytes);
-  w.u64(p.runs);
-  w.u64(p.objects.size());
-  for (const runtime::ObjectProfile& o : p.objects) {
-    w.u32(o.id);
-    w.str(o.name);
-    w.u64(o.bytes);
-    w.u64(o.accesses);
-    w.u64(o.nvmWrites);
-    w.u64(o.accessBins.size());
-    for (const std::uint64_t b : o.accessBins) w.u64(b);
-    w.u64(o.wearBins.size());
-    for (const std::uint64_t b : o.wearBins) w.u64(b);
-  }
-  w.u64(p.regionAccesses.size());
-  for (const auto& [region, accesses] : p.regionAccesses) {
-    w.u32(static_cast<std::uint32_t>(region));
-    w.u64(accesses);
-  }
-}
-
-CampaignProfile decodeProfile(WireReader& r) {
-  CampaignProfile p;
-  p.strideBytes = r.u32();
-  p.runs = r.u64();
-  const std::uint64_t nObjects = r.u64();
-  p.objects.resize(static_cast<std::size_t>(nObjects));
-  for (runtime::ObjectProfile& o : p.objects) {
-    o.id = r.u32();
-    o.name = r.str();
-    o.bytes = r.u64();
-    o.accesses = r.u64();
-    o.nvmWrites = r.u64();
-    o.accessBins.resize(static_cast<std::size_t>(r.u64()));
-    for (std::uint64_t& b : o.accessBins) b = r.u64();
-    o.wearBins.resize(static_cast<std::size_t>(r.u64()));
-    for (std::uint64_t& b : o.wearBins) b = r.u64();
-  }
-  const std::uint64_t nRegions = r.u64();
-  for (std::uint64_t i = 0; i < nRegions; ++i) {
-    const auto region =
-        static_cast<runtime::PointId>(static_cast<std::int32_t>(r.u32()));
-    p.regionAccesses[region] = r.u64();
-  }
-  return p;
-}
-
-/// Crash "black box": the first page-independent bytes of every slot's
-/// arena. A worker about to execute an injected fault records where it is
-/// dying (fault kind, access index, formatted region path) and publishes
-/// with a release-fenced magic write; after the death the parent reads it
-/// back so the TrialFailure names the real crash site — the same region-path
-/// feature in-process failures get from throwRegionPath().
-struct BlackBox {
-  std::uint64_t magic = 0;  ///< written last
-  std::uint64_t accessIndex = 0;
-  char kind[16] = {};
-  char regionPath[224] = {};
-};
-constexpr std::uint64_t kBlackBoxMagic = 0x4e56435442420001ull;
-constexpr std::size_t kBlackBoxBytes = 256;
-static_assert(sizeof(BlackBox) <= kBlackBoxBytes, "black box must fit its slot");
-
-void encodeCapture(WireWriter& w, const SweepCapture& c, std::uint8_t* arena,
-                   std::size_t arenaBytes) {
-  w.u64(c.crashAccessIndex);
-  w.u32(static_cast<std::uint32_t>(c.region));
-  w.u64(c.regionPath.size());
-  for (const runtime::PointId p : c.regionPath) {
-    w.u32(static_cast<std::uint32_t>(p));
-  }
-  w.i64(c.crashIteration);
-  w.i64(c.restartIteration);
-  w.u64(c.inconsistentRate.size());
-  for (const auto& [id, rate] : c.inconsistentRate) {
-    w.u32(id);
-    w.f64(rate);
-  }
-  std::size_t total = 0;
-  for (const auto& [id, bytes] : c.snapshots) total += bytes.size();
-  const bool inArena =
-      arena != nullptr && arenaBytes >= kBlackBoxBytes &&
-      total <= arenaBytes - kBlackBoxBytes;
-  w.u8(inArena ? 1 : 0);
-  w.u64(c.snapshots.size());
-  std::size_t offset = kBlackBoxBytes;
-  for (const auto& [id, bytes] : c.snapshots) {
-    w.u32(id);
-    w.u64(bytes.size());
-    if (bytes.empty()) continue;
-    if (inArena) {
-      std::memcpy(arena + offset, bytes.data(), bytes.size());
-      offset += bytes.size();
-    } else {
-      w.raw(bytes.data(), bytes.size());
-    }
-  }
-}
-
-SweepCapture decodeCapture(WireReader& r, const std::uint8_t* arena,
-                           std::size_t arenaBytes) {
-  SweepCapture c;
-  c.crashAccessIndex = r.u64();
-  c.region = static_cast<runtime::PointId>(static_cast<std::int32_t>(r.u32()));
-  const std::uint64_t pathLen = r.u64();
-  c.regionPath.resize(static_cast<std::size_t>(pathLen));
-  for (runtime::PointId& p : c.regionPath) {
-    p = static_cast<runtime::PointId>(static_cast<std::int32_t>(r.u32()));
-  }
-  c.crashIteration = static_cast<int>(r.i64());
-  c.restartIteration = static_cast<int>(r.i64());
-  const std::uint64_t nRates = r.u64();
-  for (std::uint64_t i = 0; i < nRates; ++i) {
-    const runtime::ObjectId id = r.u32();
-    c.inconsistentRate[id] = r.f64();
-  }
-  const bool inArena = r.u8() != 0;
-  const std::uint64_t nSnaps = r.u64();
-  std::size_t offset = kBlackBoxBytes;
-  for (std::uint64_t i = 0; i < nSnaps; ++i) {
-    const runtime::ObjectId id = r.u32();
-    const std::uint64_t size = r.u64();
-    std::vector<std::uint8_t>& bytes = c.snapshots[id];
-    if (inArena) {
-      if (arena == nullptr || size > arenaBytes || offset > arenaBytes - size) {
-        throw std::runtime_error("wire: capture overruns the arena");
-      }
-      bytes.assign(arena + offset, arena + offset + size);
-      offset += static_cast<std::size_t>(size);
-    } else {
-      bytes.resize(static_cast<std::size_t>(size));
-      if (!bytes.empty()) r.raw(bytes.data(), bytes.size());
-    }
-  }
-  return c;
-}
-
-// ---- Fork-worker child state -----------------------------------------------
-
-/// Per-request run collector inside a worker child: noteRun() lands events
-/// and profile increments here instead of the (discarded) child metrics
-/// registry, and the response frame ships them to the parent.
-struct ChildRunCollector {
-  memsim::MemEvents events;
-  CampaignProfile profile;
-  /// runtime.crash_injections value at request start: the child registry is
-  /// discarded, so each reply ships the per-request delta for the parent to
-  /// re-add — keeping the counter identical to an in-process run.
-  std::uint64_t crashInjectionsBase = 0;
-
-  [[nodiscard]] std::uint64_t crashInjectionsDelta() const {
-    return telemetry::MetricsRegistry::instance()
-               .counter("runtime.crash_injections")
-               .value() -
-           crashInjectionsBase;
-  }
-};
-ChildRunCollector* g_childRunCollector = nullptr;
-
-/// Installed in a worker child while a crashing run may host an injected
-/// fault: where to write the black box and which fd a wild write tears.
-struct ChildFaultContext {
-  FaultPlan plan;
-  std::uint8_t* blackBox = nullptr;
-  int responseFd = -1;
-};
-ChildFaultContext* g_childFault = nullptr;
-
-/// The forked child's trace buffer: TraceSink is redirected here right after
-/// the fork, and each response frame ships-and-clears the accumulated lines
-/// for the parent to splice into the real trace via writeRaw().
-std::ostringstream* g_childTraceBuf = nullptr;
-
-std::string takeChildTrace() {
-  if (g_childTraceBuf == nullptr) return {};
-  std::string out = g_childTraceBuf->str();
-  g_childTraceBuf->str("");
-  return out;
-}
-
-/// Execute one injected fault for real. Segv and hang never return; a wild
-/// write tears the response stream then exits; OOM throws the bad_alloc the
-/// worker main loop converts to kWorkerOomExit.
-void executeFault(FaultPlan::Kind kind, int responseFd) {
-  switch (kind) {
-    case FaultPlan::Kind::Segv: {
-      // The volatile address keeps the bogus pointer out of constant
-      // propagation, so -Werror=array-bounds accepts the deliberate wild
-      // store (GCC 12 rejects a literal reinterpret_cast'ed address).
-      volatile std::uintptr_t target = 8;
-      *reinterpret_cast<volatile int*>(target) = 42;  // SIGSEGV
-      std::abort();    // unreachable belt-and-braces (still a Crashed death)
-    }
-    case FaultPlan::Kind::WildWrite: {
-      // A garbage length prefix (~2 GiB) followed by a torn tail: the parent
-      // rejects the length and classifies a protocol death.
-      const unsigned char junk[] = {0xff, 0xff, 0xff, 0x7f, 0xde, 0xad};
-      (void)!::write(responseFd, junk, sizeof junk);
-      ::_exit(2);
-    }
-    case FaultPlan::Kind::Oom: {
-      // nothrow + explicit throw, not throwing operator new: GCC's libasan
-      // hard-aborts a failed throwing new even with allocator_may_return_null,
-      // while the nothrow form returns null under both plain and ASan builds.
-      void* p = ::operator new(std::size_t{1} << 62, std::nothrow);
-      if (p == nullptr) throw std::bad_alloc();
-      ::operator delete(p);  // unreachable on any real machine
-      throw std::bad_alloc();
-    }
-    case FaultPlan::Kind::Hang: {
-      for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
-    }
-    case FaultPlan::Kind::None: break;
-  }
-}
-
-// ---- Parent-side death accounting ------------------------------------------
-
-/// A worker death (or child-reported error) unwinding one trial attempt in
-/// the parent. Deliberately NOT std::exception-derived: decideTrial's
-/// catch(std::exception) must not swallow it into kind "exception".
-struct ChildFailure {
-  std::string kind = "protocol";
-  bool timeout = false;
-  std::string reason;
-  std::string regionPath;
-};
-
-/// Map one classified worker death onto the TrialFailure the retry loop
-/// records, folding in the black box when the worker published one.
-ChildFailure classifyDeath(const WorkerPool::Reply& reply,
-                           std::uint64_t timeoutMs, const std::uint8_t* arena) {
-  ChildFailure f;
-  f.kind = toString(reply.death);
-  f.timeout = reply.timedOut;
-  if (reply.timedOut) {
-    f.reason = "watchdog: trial exceeded its " + std::to_string(timeoutMs) +
-               " ms deadline";
-  } else {
-    switch (reply.death) {
-      case WorkerDeath::Crashed:
-        f.reason = "worker killed by signal " + std::to_string(reply.signal);
-        break;
-      case WorkerDeath::Killed:
-        f.reason = "worker killed (SIGKILL)";
-        break;
-      case WorkerDeath::Oom:
-        f.reason = "worker out of memory (std::bad_alloc)";
-        break;
-      default:
-        f.reason = "worker protocol error (exit status " +
-                   std::to_string(reply.exitStatus) + ")";
-        break;
-    }
-  }
-  const auto* bb = reinterpret_cast<const BlackBox*>(arena);
-  if (bb != nullptr && bb->magic == kBlackBoxMagic) {
-    std::atomic_thread_fence(std::memory_order_acquire);
-    const std::string kind(bb->kind, strnlen(bb->kind, sizeof bb->kind));
-    f.regionPath.assign(bb->regionPath,
-                        strnlen(bb->regionPath, sizeof bb->regionPath));
-    f.reason += "; fault '" + kind + "' injected at access " +
-                std::to_string(bb->accessIndex);
-  }
-  return f;
-}
-
 std::string responseTally(const std::array<int, 4>& counts) {
   std::string out;
   for (int s = 0; s < 4; ++s) {
@@ -685,6 +192,43 @@ std::string responseTally(const std::array<int, 4>& counts) {
     out += std::to_string(counts[s]);
   }
   return out;
+}
+
+/// Throws unless the resumed journal was drawn for exactly this campaign.
+void checkHeaderMatches(const JournalHeader& journal, const JournalHeader& ours,
+                        const std::string& path) {
+  const auto mismatch = [&path](const std::string& what) {
+    throw std::runtime_error("--resume " + path + ": journal " + what +
+                             " does not match this campaign");
+  };
+  if (journal.app != ours.app) mismatch("app (" + journal.app + ")");
+  if (journal.seed != ours.seed) mismatch("seed");
+  if (journal.tests != ours.tests) mismatch("test count");
+  if (journal.mode != ours.mode) mismatch("snapshot mode");
+  if (journal.planFingerprint != ours.planFingerprint) mismatch("persistence plan");
+  if (journal.windowAccesses != ours.windowAccesses) mismatch("golden crash window");
+  if (journal.monitor != ours.monitor) mismatch("monitor mode");
+  // A shard journal resumes only under the same --shard i/k; a merged (or
+  // legacy) journal is unsharded on both sides and passes trivially.
+  if (journal.shardCount != ours.shardCount || journal.shardIndex != ours.shardIndex) {
+    mismatch("shard (" + std::to_string(journal.shardIndex) + "/" +
+             std::to_string(journal.shardCount) + ")");
+  }
+}
+
+/// One line naming the exception in flight (called inside a catch block).
+std::string currentExceptionText() {
+  try {
+    throw;
+  } catch (const AttemptFailure& f) {
+    return f.reason;
+  } catch (const runtime::TrialCancelled&) {
+    return "cancelled by the watchdog";
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "unknown exception";
+  }
 }
 
 }  // namespace
@@ -839,20 +383,11 @@ void CampaignRunner::armProfile(Runtime& rt) const {
   if (config_.profile) rt.enableProfile();
 }
 
-void CampaignRunner::accumulateProfile(const Runtime& rt) const {
+void CampaignRunner::noteRun(const Runtime& rt) const {
+  CampaignMetrics::get().recordRun(rt.events());
   if (!config_.profile || !rt.profiling()) return;
   std::lock_guard<std::mutex> lock(profileMutex_);
   profile_.accumulate(rt);
-}
-
-void CampaignRunner::noteRun(const Runtime& rt) const {
-  if (g_childRunCollector != nullptr) {
-    addEvents(g_childRunCollector->events, rt.events());
-    if (config_.profile) g_childRunCollector->profile.accumulate(rt);
-    return;
-  }
-  CampaignMetrics::get().recordRun(rt.events());
-  accumulateProfile(rt);
 }
 
 void CampaignRunner::commitTrial(std::size_t trial,
@@ -872,24 +407,6 @@ void CampaignRunner::commitTrial(std::size_t trial,
         .field("extra_iterations", record.extraIterations)
         .emit();
   }
-}
-
-void CampaignRunner::installFault(Runtime& rt) const {
-  if (!config_.inject.active() || g_childFault == nullptr) return;
-  ChildFaultContext* ctx = g_childFault;
-  Runtime* rtp = &rt;
-  rt.armFault(config_.inject.accessIndex, [ctx, rtp] {
-    auto* bb = reinterpret_cast<BlackBox*>(ctx->blackBox);
-    if (bb != nullptr) {
-      bb->accessIndex = ctx->plan.accessIndex;
-      std::snprintf(bb->kind, sizeof bb->kind, "%s", toString(ctx->plan.kind));
-      const std::string path = formatRegionPath(rtp->regionPath());
-      std::snprintf(bb->regionPath, sizeof bb->regionPath, "%s", path.c_str());
-      std::atomic_thread_fence(std::memory_order_release);
-      bb->magic = kBlackBoxMagic;
-    }
-    executeFault(ctx->plan.kind, ctx->responseFd);
-  });
 }
 
 GoldenStats CampaignRunner::goldenRun(memsim::RegionMonitor* monitor) const {
@@ -914,8 +431,7 @@ GoldenStats CampaignRunner::goldenRun(memsim::RegionMonitor* monitor) const {
   auto app = factory_();
   const auto result = Driver::freshRun(*app, rt);
   rt.setMonitor(nullptr);
-  CampaignMetrics::get().recordRun(rt.events());
-  accumulateProfile(rt);
+  noteRun(rt);
   EC_CHECK_MSG(!result.interrupted, "golden run interrupted: " + result.interruptReason);
   EC_CHECK_MSG(result.verification.pass,
                "golden run failed its own acceptance verification (" +
@@ -1034,235 +550,71 @@ void CampaignRunner::applyMonitorRouting(Runtime& rt) const {
   rt.setDemotedNames(monitorState_.demotedNames());
 }
 
-namespace {
-
-/// Throws unless the resumed journal was drawn for exactly this campaign.
-void checkHeaderMatches(const JournalHeader& journal, const JournalHeader& ours,
-                        const std::string& path) {
-  const auto mismatch = [&path](const std::string& what) {
-    throw std::runtime_error("--resume " + path + ": journal " + what +
-                             " does not match this campaign");
-  };
-  if (journal.app != ours.app) mismatch("app (" + journal.app + ")");
-  if (journal.seed != ours.seed) mismatch("seed");
-  if (journal.tests != ours.tests) mismatch("test count");
-  if (journal.mode != ours.mode) mismatch("snapshot mode");
-  if (journal.planFingerprint != ours.planFingerprint) mismatch("persistence plan");
-  if (journal.windowAccesses != ours.windowAccesses) mismatch("golden crash window");
-  if (journal.monitor != ours.monitor) mismatch("monitor mode");
-  // A shard journal resumes only under the same --shard i/k; a merged (or
-  // legacy) journal is unsharded on both sides and passes trivially.
-  if (journal.shardCount != ours.shardCount || journal.shardIndex != ours.shardIndex) {
-    mismatch("shard (" + std::to_string(journal.shardIndex) + "/" +
-             std::to_string(journal.shardCount) + ")");
-  }
-}
-
-}  // namespace
-
-/// The worker child's request loop body (one call per request frame). Runs
-/// the same runOneTest/runRestart the in-process evaluator runs — byte-for-
-/// byte the same simulation — and ships the result (or the failure), the
-/// run's MemEvents, the profile increment and the buffered trace lines back
-/// through the pipe protocol. Lives outside the anonymous namespace so
-/// CampaignRunner can befriend it into its private evaluator internals.
-struct ForkChildServer {
-  const CampaignRunner& runner;
-  const GoldenStats& golden;
-
-  void serve(int slot, const std::string& request,
-             const WorkerPool::ChildChannel& ch) const {
-    (void)slot;
-    WireReader req(request);
-    const std::uint8_t op = req.u8();
-    ChildRunCollector collector;
-    collector.crashInjectionsBase = telemetry::MetricsRegistry::instance()
-                                        .counter("runtime.crash_injections")
-                                        .value();
-    g_childRunCollector = &collector;
-    static ChildFaultContext faultCtx;
-    faultCtx.plan = runner.config_.inject;
-    faultCtx.blackBox = ch.arena();
-    faultCtx.responseFd = ch.responseFd();
-    g_childFault = runner.config_.inject.active() ? &faultCtx : nullptr;
-    try {
-      switch (op) {
-        case 'T': {
-          const std::uint64_t trial = req.u64();
-          const std::uint64_t crashIndex = req.u64();
-          runDecided(ch, collector, trial, [&](CrashTestRecord& record) {
-            runner.runOneTest(golden, crashIndex,
-                              static_cast<std::size_t>(trial), nullptr, record);
-          });
-          break;
-        }
-        case 'R': {
-          const std::uint64_t trial = req.u64();
-          const SweepCapture capture =
-              decodeCapture(req, ch.arena(), ch.arenaBytes());
-          runDecided(ch, collector, trial, [&](CrashTestRecord& record) {
-            runner.runRestart(golden, capture, static_cast<std::size_t>(trial),
-                              nullptr, record);
-          });
-          break;
-        }
-        case 'S':
-          runSweepChild(req, ch, collector);
-          break;
-        default:
-          throw std::runtime_error("fork worker: unknown request op");
-      }
-    } catch (...) {
-      g_childRunCollector = nullptr;
-      throw;  // escapes to childMain: bad_alloc -> OOM exit, rest -> protocol
+/// Runs trials on the scheduler's own threads. Owns the cooperative
+/// watchdog: the runtime polls the slot's cancel flag (Runtime::setCancelFlag)
+/// and throws TrialCancelled, so unlike the fork executor's SIGKILL it cannot
+/// reclaim a hang that never reaches a poll.
+class InProcessExecutor final : public TrialExecutor {
+ public:
+  InProcessExecutor(const CampaignRunner& runner, const GoldenStats& golden,
+                    int slots, std::uint64_t timeoutMs)
+      : runner_(runner), golden_(golden) {
+    if (timeoutMs == 0) return;
+    if (!runtime::kWatchdogCompiledIn) {
+      EC_LOG_WARN(
+          "trial watchdog requested but the cancellation poll is compiled out "
+          "(EASYCRASH_WATCHDOG=OFF); deadlines are disabled");
+      return;
     }
-    g_childRunCollector = nullptr;
+    watchdog_.emplace(std::chrono::milliseconds(timeoutMs), slots);
+  }
+
+  void trial(std::size_t t, std::uint64_t crashIndex, int slot, double budget,
+             CrashTestRecord& record) override {
+    const Deadline deadline(watchdog_, slot, budget);
+    runner_.runOneTest(golden_, crashIndex, t, deadline.cancel, record);
+  }
+
+  void restart(std::size_t t, const SweepCapture& capture, int slot, double budget,
+               CrashTestRecord& record) override {
+    const Deadline deadline(watchdog_, slot, budget);
+    runner_.runRestart(golden_, capture, t, deadline.cancel, record);
+  }
+
+  bool sweep(const SweepPlan& plan, int slot, const OnCapture& onCapture) override {
+    const Deadline deadline(watchdog_, slot, 1.0);
+    return runner_.sweepRun(golden_, plan, deadline.cancel, [&](SweepCapture&& capture) {
+      // Waiting on a full restart queue is backpressure, not a hung
+      // simulation: suspend the sweep's deadline while parked.
+      if (watchdog_) watchdog_->disarm(slot);
+      const bool more =
+          onCapture(std::make_shared<const SweepCapture>(std::move(capture)));
+      if (watchdog_) watchdog_->arm(slot);
+      return more;
+    });
   }
 
  private:
-  /// Run one attempt (whole trial or restart), then ship an 'r' frame:
-  /// status 0 carries the serialized record, status 1 the exception text and
-  /// formatted crash-site path. Both carry trace/events/profile — a failed
-  /// attempt still simulated runs the parent must account, exactly as the
-  /// in-process evaluator records them before its exception propagates.
-  template <typename Attempt>
-  void runDecided(const WorkerPool::ChildChannel& ch,
-                  ChildRunCollector& collector, std::uint64_t trial,
-                  Attempt&& attempt) const {
-    CrashTestRecord record;
-    std::uint8_t status = 0;
-    std::string errReason;
-    std::string errPath;
-    try {
-      attempt(record);
-    } catch (const std::bad_alloc&) {
-      throw;  // childMain -> _exit(kWorkerOomExit)
-    } catch (const std::exception& e) {
-      status = 1;
-      errReason = e.what();
-      errPath = formatRegionPath(record.regionPath);
+  /// The slot's watchdog armed for one attempt, disarmed however it ends.
+  struct Deadline {
+    Deadline(std::optional<Watchdog>& watchdog, int slot, double budget)
+        : watchdog(watchdog),
+          slot(slot),
+          cancel(watchdog ? &watchdog->arm(slot, budget) : nullptr) {}
+    ~Deadline() {
+      if (watchdog) watchdog->disarm(slot);
     }
-    WireWriter resp;
-    resp.u8('r');
-    resp.u8(status);
-    resp.str(takeChildTrace());
-    encodeEvents(resp, collector.events);
-    resp.u64(collector.crashInjectionsDelta());
-    if (collector.profile.runs > 0) {
-      resp.u8(1);
-      encodeProfile(resp, collector.profile);
-    } else {
-      resp.u8(0);
-    }
-    if (status == 0) {
-      resp.str(serializeTrialRecord(static_cast<std::size_t>(trial), record));
-    } else {
-      resp.str(errReason);
-      resp.str(errPath);
-    }
-    ch.send(resp.take());
-  }
+    Deadline(const Deadline&) = delete;
+    Deadline& operator=(const Deadline&) = delete;
 
-  /// The sweep crashing run, child side: capture every requested index in
-  /// ascending order, stream each as a 'c' frame and wait for the parent's
-  /// 'A' ack (that handshake IS the restart-queue backpressure), then ship
-  /// the 'e' summary.
-  void runSweepChild(WireReader& req, const WorkerPool::ChildChannel& ch,
-                     ChildRunCollector& collector) const {
-    const std::uint64_t count = req.u64();
-    std::vector<std::uint64_t> indices(static_cast<std::size_t>(count));
-    std::vector<std::uint64_t> trialCounts(indices.size());
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      indices[i] = req.u64();
-      trialCounts[i] = req.u64();
-    }
-    std::size_t captured = 0;
-    bool completedAll = false;
-    const CampaignConfig& config = runner.config_;
-    Runtime rt(config.cache);
-    rt.setBulk(config.bulk);
-    rt.setScan(config.scan);
-    rt.setPlan(config.plan);
-    runner.applyMonitorRouting(rt);
-    rt.setTraceRun("sweep");
-    runner.armProfile(rt);
-    try {
-      telemetry::PhaseSpan crashSpan("crash_run",
-                                     CampaignMetrics::get().crashRunUs);
-      auto app = runner.factory_();
-      app->setup(rt);
-      app->initialize(rt);
-      rt.armCrash(indices.back());
-      runner.installFault(rt);
-      std::vector<std::uint64_t> armIndices = indices;
-      rt.armCaptures(std::move(armIndices), [&](const CrashEvent& at) {
-        const std::uint64_t index = indices[captured];
-        SweepCapture capture;
-        capture.crashAccessIndex = index;
-        capture.region = at.activeRegion;
-        capture.regionPath = at.regionPath;
-        capture.crashIteration = at.iteration;
-        {
-          telemetry::PhaseSpan postmortemSpan(
-              "postmortem", CampaignMetrics::get().postmortemUs);
-          for (const auto& object : rt.objects()) {
-            if (!object.candidate) continue;
-            capture.inconsistentRate[object.id] = rt.inconsistentRate(object.id);
-            capture.snapshots[object.id] = config.mode == SnapshotMode::NvmImage
-                                               ? rt.dumpObjectNvm(object.id)
-                                               : rt.dumpObjectCurrent(object.id);
-          }
-          capture.restartIteration = config.mode == SnapshotMode::NvmImage
-                                         ? rt.bookmarkedIterationNvm()
-                                         : at.iteration;
-        }
-        if (telemetry::tracing()) {
-          telemetry::TraceEvent("sweep_capture")
-              .field("run", rt.traceRun())
-              .field("crash_access", index)
-              .field("region", at.activeRegion)
-              .field("iteration", at.iteration)
-              .field("trials", trialCounts[captured])
-              .emit();
-        }
-        ++captured;
-        WireWriter frame;
-        frame.u8('c');
-        frame.u64(index);
-        encodeCapture(frame, capture, ch.arena(), ch.arenaBytes());
-        ch.send(frame.take());
-        std::string ack;
-        if (!ch.recv(ack) || ack.empty() || ack[0] != 'A') throw SweepAbort{};
-      });
-      const auto run = Driver::run(*app, rt, 1, golden.finalIteration);
-      (void)run;
-      EC_CHECK_MSG(false, "armed crash did not fire — app is non-deterministic");
-    } catch (const CrashEvent&) {
-      completedAll = captured == indices.size();
-    } catch (const SweepAbort&) {
-      // Parent withdrew the ack (stop/abort); ship what we have.
-    } catch (const std::bad_alloc&) {
-      throw;
-    } catch (const std::exception&) {
-      // The parent's fallback path covers the uncaptured tail.
-    }
-    rt.powerLoss();
-    runner.noteRun(rt);
-    WireWriter resp;
-    resp.u8('e');
-    resp.u8(completedAll ? 1 : 0);
-    resp.u64(captured);
-    resp.str(takeChildTrace());
-    encodeEvents(resp, collector.events);
-    resp.u64(collector.crashInjectionsDelta());
-    if (collector.profile.runs > 0) {
-      resp.u8(1);
-      encodeProfile(resp, collector.profile);
-    } else {
-      resp.u8(0);
-    }
-    ch.send(resp.take());
-  }
+    std::optional<Watchdog>& watchdog;
+    int slot;
+    const std::atomic<bool>* cancel;
+  };
+
+  const CampaignRunner& runner_;
+  const GoldenStats& golden_;
+  std::optional<Watchdog> watchdog_;
 };
 
 CampaignResult CampaignRunner::run() const {
@@ -1475,10 +827,8 @@ CampaignResult CampaignRunner::run() const {
                     : config_.threads;
   threads = std::max(1, std::min<int>(threads, std::max(1, config_.numTests)));
 
-  // Distinct crash index -> undecided trials that drew it, ascending: the
-  // sweep's capture plan. Duplicate indices (several trials drawing the same
-  // crash point) share one capture. Decided (resumed) trials never re-enter.
-  std::map<std::uint64_t, std::vector<std::size_t>> sweepPlan;
+  // The sweep's capture plan. Decided (resumed) trials never re-enter.
+  SweepPlan sweepPlan;
   if (config_.sweep) {
     // Sharded: the sweep captures only the crash points this shard's owned
     // trials drew. Duplicate indices whose trials straddle shards are
@@ -1490,50 +840,43 @@ CampaignResult CampaignRunner::run() const {
     }
   }
   const bool sweepActive = !sweepPlan.empty();
-
-  // Process isolation: the fork evaluator runs every crashing run / restart
-  // in a pre-forked worker child; any child death is classified into a
-  // TrialFailure kind instead of taking the campaign down.
-  const bool forkIsolation =
-      res.isolation == IsolationMode::Fork && res.isolate && n > 0;
+  // One executor slot per restart worker plus, under the sweep, one for the
+  // producer's crashing run.
+  const int slots = threads + (sweepActive ? 1 : 0);
 
   // Watchdog deadline base: explicit --trial-timeout-ms wins; otherwise a
   // golden run multiple. The base is the budget for ONE golden run's worth
-  // of work; each arming scales it by the trial's expected work (see
+  // of work; each trial scales it by its expected work (see
   // wholeTrialBudget/restartBudget below), so the deadline tracks what the
   // trial actually owes instead of assuming the worst case for every draw.
-  // Under fork isolation the deadline is enforced by the parent with a hard
-  // SIGKILL of the child (WorkerPool::recv), so no cooperative watchdog —
-  // or compiled-in cancellation poll — is needed: even a hung busy loop
-  // that never reaches a poll is reclaimed.
-  std::optional<Watchdog> watchdog;
   std::uint64_t timeoutMs = 0;
   if (res.isolate && (res.trialTimeoutMs > 0 || res.goldenTimeoutMultiple > 0)) {
-    if (!forkIsolation && !runtime::kWatchdogCompiledIn) {
-      EC_LOG_WARN(
-          "trial watchdog requested but the cancellation poll is compiled out "
-          "(EASYCRASH_WATCHDOG=OFF); deadlines are disabled");
-    } else {
-      // Under sampled monitoring the golden run is direct-mode and several
-      // times cheaper than the tracked crashing runs the deadline must
-      // cover; scale the base so --timeout-golden-multiple keeps its
-      // tracked-golden meaning.
-      const double timeoutBaseMs =
-          static_cast<double>(goldenMs) *
-          (monitor && !config_.monitor.trackedGolden ? 10.0 : 1.0);
-      timeoutMs = res.trialTimeoutMs > 0
-                      ? res.trialTimeoutMs
-                      : std::max<std::uint64_t>(
-                            1000, static_cast<std::uint64_t>(
-                                      timeoutBaseMs * res.goldenTimeoutMultiple));
-      // One slot per restart worker plus, under the sweep, a slot for the
-      // producer's crashing run (re-armed at every capture, suspended while
-      // parked on restart backpressure).
-      if (!forkIsolation) {
-        watchdog.emplace(std::chrono::milliseconds(timeoutMs),
-                         threads + (sweepActive ? 1 : 0));
-      }
-    }
+    // Under sampled monitoring the golden run is direct-mode and several
+    // times cheaper than the tracked crashing runs the deadline must cover;
+    // scale the base so --timeout-golden-multiple keeps its tracked-golden
+    // meaning.
+    const double timeoutBaseMs =
+        static_cast<double>(goldenMs) *
+        (monitor && !config_.monitor.trackedGolden ? 10.0 : 1.0);
+    timeoutMs = res.trialTimeoutMs > 0
+                    ? res.trialTimeoutMs
+                    : std::max<std::uint64_t>(
+                          1000, static_cast<std::uint64_t>(
+                                    timeoutBaseMs * res.goldenTimeoutMultiple));
+  }
+
+  // The trial executor — the one place the isolation mode is named. The
+  // fork executor forks its workers here, AFTER the golden run and the sweep
+  // plan, so children inherit every immutable input by memory. Declared
+  // before the status writer: the sampler reads the executor's worker
+  // tallies, so the executor must outlive it.
+  std::unique_ptr<TrialExecutor> executor;
+  if (res.isolation == IsolationMode::Fork && res.isolate && n > 0) {
+    executor = makeForkExecutor(*this, result.golden, slots,
+                                result.golden.candidateBytes, timeoutMs);
+  } else {
+    executor = std::make_unique<InProcessExecutor>(*this, result.golden, slots,
+                                                   timeoutMs);
   }
 
   std::atomic<int> failureCount{static_cast<int>(resumedFailures)};
@@ -1555,66 +898,9 @@ CampaignResult CampaignRunner::run() const {
     }
     workersAbort.store(true);
   };
-
-  // Sweep-claimed trials: flagged by the producer just before the capture is
-  // queued (the queue mutex publishes the write), so the per-trial fallback
-  // loop never re-runs a trial the restart pipeline already owns.
-  std::vector<char> claimed(sweepActive ? n : 0, 0);
-
-  // Candidate bytes of one capture (probed on an un-simulated setup): sizes
-  // the sweep queue's backpressure window and the fork workers' snapshot
-  // arenas.
-  std::size_t captureBytes = 0;
-  if (forkIsolation || sweepActive) {
-    Runtime probe;
-    auto app = factory_();
-    app->setup(probe);
-    for (const auto& object : probe.objects()) {
-      if (object.candidate) captureBytes += object.bytes;
-    }
-  }
-
-  // --- Fork evaluator: pre-forked worker pool ---------------------------
-  // One slot per restart worker plus, under the sweep, one for the producer's
-  // crashing run. Forked AFTER the golden run and the sweep plan so children
-  // inherit every immutable input by memory (config, plan, golden stats) —
-  // respawned workers fork from the same immutable state, so a replacement
-  // child is indistinguishable from the original. Declared before the status
-  // writer: the sampler dereferences the pool, so the pool must outlive it.
-  std::atomic<std::uint64_t> workerDeaths{0};
-  ForkChildServer childServer{*this, result.golden};
-  std::unique_ptr<WorkerPool> pool;
-  if (forkIsolation) {
-    const std::size_t arenaBytes =
-        kBlackBoxBytes + captureBytes + captureBytes / 8 + 4096;
-    WorkerPool::ForkHooks hooks;
-    // Never fork while another campaign thread holds the trace or metrics
-    // lock: the child would inherit a locked mutex it can never unlock.
-    hooks.prepare = [] {
-      telemetry::TraceSink::instance().lockForFork();
-      telemetry::MetricsRegistry::instance().lockForFork();
-    };
-    hooks.parent = [] {
-      telemetry::MetricsRegistry::instance().unlockAfterFork();
-      telemetry::TraceSink::instance().unlockAfterFork();
-    };
-    hooks.child = [](int) {
-      telemetry::MetricsRegistry::instance().unlockAfterFork();
-      telemetry::TraceSink::instance().unlockAfterFork();
-      // Reroute trace lines into a buffer the response frames ship to the
-      // parent; the parent's stream (and its buffered bytes) stay its own.
-      g_childTraceBuf = new std::ostringstream();
-      telemetry::TraceSink::instance().redirectInForkedChild(g_childTraceBuf);
-    };
-    pool = std::make_unique<WorkerPool>(
-        threads + (sweepActive ? 1 : 0), arenaBytes,
-        [&childServer](int slot, const std::string& request,
-                       const WorkerPool::ChildChannel& ch) {
-          childServer.serve(slot, request, ch);
-        },
-        hooks);
-    CampaignMetrics::get().workerSpawns.add(pool->spawnCount());
-  }
+  const auto halted = [&] {
+    return stopRequested() || budgetExceeded.load() || workersAbort.load();
+  };
 
   // Live status snapshots (docs/OBSERVABILITY.md): a background thread
   // samples the campaign's shared tallies on an interval and atomically
@@ -1647,10 +933,7 @@ CampaignResult CampaignRunner::run() const {
           s.timeouts = timeoutCount.load();
           s.queueDepth = static_cast<std::uint64_t>(
               std::max(0.0, CampaignMetrics::get().sweepQueueDepth.value()));
-          if (pool) {
-            s.workers = static_cast<std::uint64_t>(std::max(0, pool->aliveCount()));
-          }
-          s.workerDeaths = workerDeaths.load();
+          executor->fillStatus(s);
           s.elapsedS = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - campaignStart)
                            .count();
@@ -1685,159 +968,18 @@ CampaignResult CampaignRunner::run() const {
            static_cast<double>(std::max(1, result.golden.finalIteration));
   };
 
-  // --- Fork evaluator, parent side --------------------------------------
-
-  // Scale the base deadline by the trial's work budget, exactly as the
-  // in-process watchdog arms it. Zero = no deadline.
-  const auto forkDeadline = [&](double budget) {
-    if (timeoutMs == 0) return std::chrono::milliseconds(0);
-    const double ms = static_cast<double>(timeoutMs) * std::max(1.0, budget);
-    return std::chrono::milliseconds(static_cast<std::int64_t>(ms) + 1);
-  };
-
-  // Account one consumed worker death: counters, live status, worker_exit
-  // trace (slot, pid, classification) for the flight recorder.
-  const auto noteWorkerDeath = [&](int slot, pid_t pid,
-                                   const WorkerPool::Reply& reply) {
-    workerDeaths.fetch_add(1);
-    if (reply.timedOut || reply.death == WorkerDeath::Killed) {
-      CampaignMetrics::get().workerKills.add();
-    } else {
-      CampaignMetrics::get().workerCrashes.add();
-    }
-    if (telemetry::tracing()) {
-      telemetry::TraceEvent("worker_exit")
-          .field("slot", slot)
-          .field("pid", static_cast<std::int64_t>(pid))
-          .field("death", toString(reply.death))
-          .field("signal", reply.signal)
-          .field("exit_code", reply.exitStatus)
-          .field("timeout", reply.timedOut)
-          .emit();
-    }
-  };
-
-  // Deliberate parent-side kill (stop/abort drain, desynchronized stream):
-  // consume the death like any other so the books stay balanced.
-  const auto killWorker = [&](int slot) {
-    if (!pool->alive(slot)) return;
-    const pid_t pid = pool->pid(slot);
-    pool->kill(slot);
-    WorkerPool::Reply reply;
-    reply.death = WorkerDeath::Killed;
-    reply.signal = SIGKILL;
-    noteWorkerDeath(slot, pid, reply);
-  };
-
-  // One request/response round-trip on the slot's worker. Throws
-  // ChildFailure (mapped onto the retry/failure machinery by decideTrial)
-  // on any classified death; a dead slot is respawned at the START of the
-  // attempt, so the attempt that follows a death always gets a live worker.
-  const auto forkRoundTrip = [&](int w, const std::string& request,
-                                 double budget) -> std::string {
-    bool respawned = false;
-    if (!pool->ensureWorker(w, &respawned)) {
-      throw ChildFailure{"protocol", false, "worker fork failed", ""};
-    }
-    if (respawned) {
-      CampaignMetrics::get().workerSpawns.add();
-      CampaignMetrics::get().workerRespawns.add();
-      if (telemetry::tracing()) {
-        telemetry::TraceEvent("worker_respawn")
-            .field("slot", w)
-            .field("pid", static_cast<std::int64_t>(pool->pid(w)))
-            .emit();
-      }
-    }
-    // Clear the black box so a stale fault report can never be attributed
-    // to this attempt's death.
-    reinterpret_cast<BlackBox*>(pool->arena(w))->magic = 0;
-    const pid_t pid = pool->pid(w);
-    (void)pool->send(w, request);  // a dead worker surfaces in recv()
-    WorkerPool::Reply reply = pool->recv(w, forkDeadline(budget));
-    if (!reply.ok) {
-      noteWorkerDeath(w, pid, reply);
-      throw classifyDeath(reply, timeoutMs, pool->arena(w));
-    }
-    return std::move(reply.frame);
-  };
-
-  // Decode one 'r' result frame: splice the child's trace, account its
-  // simulated runs, then either yield the record or rethrow the child's
-  // exception as an attempt failure. A frame that does not decode is a
-  // protocol death — the stream may be desynchronized, so the worker is
-  // killed and the next attempt starts fresh.
-  const auto parseTrialReply = [&](int w, const std::string& frame,
-                                   std::size_t t, CrashTestRecord& record) {
-    try {
-      WireReader r(frame);
-      if (r.u8() != 'r') throw std::runtime_error("unexpected reply tag");
-      const std::uint8_t status = r.u8();
-      const std::string trace = r.str();
-      if (!trace.empty()) telemetry::TraceSink::instance().writeRaw(trace);
-      CampaignMetrics::get().recordRun(decodeEvents(r));
-      const std::uint64_t crashed = r.u64();
-      if (crashed > 0) {
-        telemetry::MetricsRegistry::instance()
-            .counter("runtime.crash_injections")
-            .add(crashed);
-      }
-      if (r.u8() != 0) {
-        const CampaignProfile shipped = decodeProfile(r);
-        std::lock_guard<std::mutex> lock(profileMutex_);
-        profile_.merge(shipped);
-      }
-      if (status == 0) {
-        std::string line = r.str();
-        if (!line.empty() && line.back() == '\n') line.pop_back();
-        std::size_t trialFromWire = 0;
-        record = parseTrialRecord(line, &trialFromWire);
-        EC_CHECK_MSG(trialFromWire == t, "fork: reply names the wrong trial");
-        return;
-      }
-      std::string reason = r.str();
-      std::string regionPath = r.str();
-      throw ChildFailure{"exception", false, std::move(reason),
-                         std::move(regionPath)};
-    } catch (const ChildFailure&) {
-      throw;
-    } catch (const std::exception& e) {
-      killWorker(w);
-      throw ChildFailure{"protocol", false,
-                         std::string("worker reply malformed: ") + e.what(), ""};
-    }
-  };
-
-  const auto forkTrialAttempt = [&](std::size_t t, int w, double budget,
-                                    CrashTestRecord& record) {
-    telemetry::ScopedTimer trialTimer(CampaignMetrics::get().trialUs);
-    WireWriter req;
-    req.u8('T');
-    req.u64(t);
-    req.u64(crashIndices[t]);
-    parseTrialReply(w, forkRoundTrip(w, req.take(), budget), t, record);
-  };
-
-  const auto forkRestartAttempt = [&](std::size_t t, int w,
-                                      const SweepCapture& capture, double budget,
-                                      CrashTestRecord& record) {
-    telemetry::ScopedTimer trialTimer(CampaignMetrics::get().trialUs);
-    WireWriter req;
-    req.u8('R');
-    req.u64(t);
-    encodeCapture(req, capture, pool->arena(w), pool->arenaBytes());
-    parseTrialReply(w, forkRoundTrip(w, req.take(), budget), t, record);
-  };
-
-  // Decides trial t on worker slot w by running `attempt` — the whole trial
-  // on the per-trial path, just the restart when a sweep capture supplies
-  // the crashing half — honouring isolation, the watchdog (armed with the
-  // trial's deadline budget) and the retry budget. Exceptions propagate only
-  // when isolation is off (the legacy all-or-nothing behaviour).
-  const auto decideTrial = [&](std::size_t t, int w, double budget, auto&& attempt) {
+  // Decides trial t by running `attempt` — a whole trial, or just the restart
+  // when a sweep capture supplies the crashing half — honouring isolation and
+  // the retry budget. Exceptions propagate only when isolation is off (the
+  // legacy all-or-nothing behaviour).
+  const auto decideTrial = [&](std::size_t t, auto&& attempt) {
+    const auto timedAttempt = [&](CrashTestRecord& record) {
+      telemetry::ScopedTimer trialTimer(CampaignMetrics::get().trialUs);
+      attempt(record);
+    };
     if (!res.isolate) {
       CrashTestRecord record;
-      attempt(nullptr, record);
+      timedAttempt(record);
       records[t] = std::move(record);
     } else {
       const int maxAttempts = 1 + std::max(0, res.maxRetries);
@@ -1847,10 +989,9 @@ CampaignResult CampaignRunner::run() const {
       bool completed = false;
       for (int att = 1; att <= maxAttempts && !completed; ++att) {
         failure.attempts = att;
-        std::atomic<bool>* cancel = watchdog ? &watchdog->arm(w, budget) : nullptr;
         CrashTestRecord record;
         try {
-          attempt(cancel, record);
+          timedAttempt(record);
           completed = true;
           records[t] = std::move(record);
         } catch (const runtime::TrialCancelled&) {
@@ -1859,24 +1000,21 @@ CampaignResult CampaignRunner::run() const {
           failure.reason = "watchdog: trial exceeded its " +
                            std::to_string(timeoutMs) + " ms deadline";
           failure.regionPath = formatRegionPath(record.regionPath);
-          CampaignMetrics::get().trialTimeouts.add();
-          timeoutCount.fetch_add(1);
-        } catch (const ChildFailure& cf) {
-          failure.kind = cf.kind;
-          failure.timeout = cf.timeout;
-          failure.reason = cf.reason;
-          failure.regionPath = cf.regionPath;
-          if (cf.timeout) {
-            CampaignMetrics::get().trialTimeouts.add();
-            timeoutCount.fetch_add(1);
-          }
+        } catch (const AttemptFailure& f) {
+          failure.kind = f.kind;
+          failure.timeout = f.timeout;
+          failure.reason = f.reason;
+          failure.regionPath = f.regionPath;
         } catch (const std::exception& e) {
           failure.kind = "exception";
           failure.timeout = false;
           failure.reason = e.what();
           failure.regionPath = formatRegionPath(record.regionPath);
         }
-        if (watchdog) watchdog->disarm(w);
+        if (!completed && failure.timeout) {
+          CampaignMetrics::get().trialTimeouts.add();
+          timeoutCount.fetch_add(1);
+        }
         if (!completed && att < maxAttempts) {
           CampaignMetrics::get().trialRetries.add();
           retryCount.fetch_add(1);
@@ -1923,32 +1061,60 @@ CampaignResult CampaignRunner::run() const {
     }
   };
 
-  const auto runTrial = [&](std::size_t t, int w) {
-    const double budget = wholeTrialBudget(crashIndices[t]);
-    if (forkIsolation) {
-      decideTrial(t, w, budget,
-                  [&](const std::atomic<bool>*, CrashTestRecord& record) {
-                    forkTrialAttempt(t, w, budget, record);
-                  });
-      return;
-    }
-    decideTrial(t, w, budget,
-                [&](const std::atomic<bool>* cancel, CrashTestRecord& record) {
-                  runOneTest(result.golden, crashIndices[t], t, cancel, record);
-                });
-  };
+  // Sweep-claimed trials: flagged by the producer just before the capture is
+  // queued (the queue mutex publishes the write), so the per-trial claim
+  // loop never re-runs a trial the restart pipeline already owns.
+  std::vector<char> claimed(n, 0);
 
   // Per-trial claim loop: the whole campaign without the sweep, the fallback
   // for whatever the sweep could not capture with it.
-  const auto worker = [&](int w) {
-    for (;;) {
-      if (stopRequested() || budgetExceeded.load() || workersAbort.load()) return;
+  const auto claimLoop = [&](int w) {
+    while (!halted()) {
       const std::size_t t = next.fetch_add(1);
       if (t >= n) return;
-      if (!owned(t)) continue;  // another shard's trial (--shard i/k)
-      if (records[t] || failures[t]) continue;  // replayed from the journal
-      if (!claimed.empty() && claimed[t] != 0) continue;  // owned by the sweep
-      runTrial(t, w);
+      // Skip another shard's trial (--shard i/k), one the sweep owns and one
+      // replayed from the journal. `claimed` goes first: a claimed trial's
+      // slots are being written by a restart worker, so reading them races.
+      if (!owned(t) || claimed[t] != 0 || records[t] || failures[t]) continue;
+      decideTrial(t, [&](CrashTestRecord& record) {
+        executor->trial(t, crashIndices[t], w, wholeTrialBudget(crashIndices[t]),
+                        record);
+      });
+    }
+  };
+
+  // Queue depth is the pipeline's overlap window: deep enough that the sweep
+  // outruns the restart drain and the producer joins the pool for most of
+  // the campaign, while backpressure bounds live snapshot memory (~64 MB of
+  // candidate bytes) for large apps. Never below the double-buffer floor
+  // that keeps every worker fed.
+  constexpr std::size_t kSnapshotBudgetBytes = std::size_t{64} << 20;
+  RestartQueue queue(std::max(static_cast<std::size_t>(std::max(2, 2 * threads)),
+                              kSnapshotBudgetBytes /
+                                  std::max<std::uint64_t>(1, result.golden.candidateBytes)));
+
+  // Restart worker: drain the capture queue, then fall back to the per-trial
+  // claim loop for anything the sweep missed. A stop request abandons the
+  // queued captures (the queue is deep — draining it would decide most of
+  // the campaign after the operator asked it to stop); in-flight restarts
+  // finish and are journaled, exactly like per-trial runs.
+  const auto restartWorker = [&](int w) {
+    try {
+      while (!halted()) {
+        const auto entry = queue.pop();
+        if (!entry) {
+          claimLoop(w);
+          return;
+        }
+        decideTrial(entry->trial, [&](CrashTestRecord& record) {
+          executor->restart(entry->trial, *entry->capture, w,
+                            restartBudget(*entry->capture), record);
+        });
+      }
+      queue.abort();
+    } catch (...) {
+      parkError();
+      queue.abort();
     }
   };
 
@@ -1956,319 +1122,59 @@ CampaignResult CampaignRunner::run() const {
   // ONE crashing run visits every pending crash point in ascending order and
   // captures it read-only; a real CrashEvent armed at the last index ends
   // the run without simulating the tail. Restarts are consumed concurrently
-  // by the worker pool, overlapping with the sweep itself.
-  const auto runSweep = [&](RestartQueue& queue, int slot) {
-    const std::size_t plannedPoints = sweepPlan.size();
-    std::size_t capturedPoints = 0;
-    bool completedAll = false;
+  // by the restart workers, overlapping with the sweep itself.
+  const auto produceSweep = [&](int slot) {
     CampaignMetrics::get().sweepRuns.add();
-    Runtime rt(config_.cache);
-    rt.setBulk(config_.bulk);
-    rt.setScan(config_.scan);
-    rt.setPlan(config_.plan);
-    applyMonitorRouting(rt);
-    rt.setTraceRun("sweep");
-    armProfile(rt);
-    if (watchdog) rt.setCancelFlag(&watchdog->arm(slot));
+    std::size_t captured = 0;
+    bool completed = false;
+    auto pending = sweepPlan.cbegin();
     try {
-      // One span covers the whole sweep crashing run (no single trial to
-      // stamp); per-capture post-mortems get their own spans inside the hook.
-      telemetry::PhaseSpan crashSpan("crash_run", CampaignMetrics::get().crashRunUs);
-      auto app = factory_();
-      app->setup(rt);
-      app->initialize(rt);
-      std::vector<std::uint64_t> indices;
-      indices.reserve(plannedPoints);
-      for (const auto& [index, trials] : sweepPlan) indices.push_back(index);
-      auto pending = sweepPlan.cbegin();
-      rt.armCrash(indices.back());
-      rt.armCaptures(std::move(indices), [&](const CrashEvent& at) {
-        EC_CHECK(pending != sweepPlan.cend());
-        const std::uint64_t index = pending->first;
-        const std::vector<std::size_t>& trials = pending->second;
-        ++pending;
-        auto capture = std::make_shared<SweepCapture>();
-        // The trial records the pre-drawn index it was armed for, exactly as
-        // the per-trial path does, while the context fields come from the
-        // access that crossed it — identical to what CrashEvent would carry.
-        capture->crashAccessIndex = index;
-        capture->region = at.activeRegion;
-        capture->regionPath = at.regionPath;
-        capture->crashIteration = at.iteration;
-        {
-          // The post-mortem of the first trial sharing this capture; queue
-          // backpressure below is deliberately outside the span.
-          telemetry::PhaseSpan postmortemSpan(
-              "postmortem", CampaignMetrics::get().postmortemUs,
-              static_cast<std::int64_t>(trials.front()));
-          for (const auto& object : rt.objects()) {
-            if (!object.candidate) continue;
-            capture->inconsistentRate[object.id] = rt.inconsistentRate(object.id);
-            capture->snapshots[object.id] = config_.mode == SnapshotMode::NvmImage
-                                                ? rt.dumpObjectNvm(object.id)
-                                                : rt.dumpObjectCurrent(object.id);
-          }
-          capture->restartIteration = config_.mode == SnapshotMode::NvmImage
-                                          ? rt.bookmarkedIterationNvm()
-                                          : at.iteration;
-        }
-        ++capturedPoints;
-        CampaignMetrics::get().sweepCaptures.add();
-        if (telemetry::tracing()) {
-          telemetry::TraceEvent("sweep_capture")
-              .field("run", rt.traceRun())
-              .field("crash_access", index)
-              .field("region", at.activeRegion)
-              .field("iteration", at.iteration)
-              .field("trials", static_cast<std::uint64_t>(trials.size()))
-              .emit();
-        }
-        for (const std::size_t t : trials) {
-          claimed[t] = 1;
-          // Waiting on a full queue is restart backpressure, not a hung
-          // simulation: suspend the sweep's deadline while parked.
-          if (watchdog) watchdog->disarm(slot);
-          const bool queued = queue.push({t, capture});
-          if (watchdog) watchdog->arm(slot);
-          if (!queued) throw SweepAbort{};
-        }
-        if (stopRequested()) throw SweepAbort{};
-      });
-      const auto run = Driver::run(*app, rt, 1, result.golden.finalIteration);
-      (void)run;
-      EC_CHECK_MSG(false, "armed crash did not fire — app is non-deterministic");
-    } catch (const CrashEvent&) {
-      // The arranged end of the sweep: the last pending index was captured
-      // on this very access, then the crash fired.
-      completedAll = capturedPoints == plannedPoints;
-    } catch (const SweepAbort&) {
-      // Stop requested or the restart pipeline went away; not an error.
-    } catch (const runtime::TrialCancelled&) {
-      EC_LOG_WARN("sweep run cancelled by the watchdog after " << capturedPoints
-                  << "/" << plannedPoints << " capture(s); uncaptured trials "
-                  "fall back to the per-trial path");
-    } catch (const std::exception& e) {
-      EC_LOG_WARN("sweep run failed (" << e.what() << ") after " << capturedPoints
-                  << "/" << plannedPoints << " capture(s); uncaptured trials "
-                  "fall back to the per-trial path");
-    } catch (...) {
-      EC_LOG_WARN("sweep run failed after " << capturedPoints << "/"
-                  << plannedPoints << " capture(s); uncaptured trials fall "
-                  "back to the per-trial path");
-    }
-    if (watchdog) watchdog->disarm(slot);
-    rt.powerLoss();
-    CampaignMetrics::get().recordRun(rt.events());
-    accumulateProfile(rt);
-    if (!completedAll) {
-      CampaignMetrics::get().sweepFallbacks.add(plannedPoints - capturedPoints);
-    }
-    if (telemetry::tracing()) {
-      telemetry::TraceEvent("sweep_end")
-          .field("run", rt.traceRun())
-          .field("captures", static_cast<std::uint64_t>(capturedPoints))
-          .field("planned", static_cast<std::uint64_t>(plannedPoints))
-          .field("completed", completedAll)
-          .emit();
-    }
-  };
-
-  // The sweep crashing run, fork side: the run itself executes inside a
-  // worker child (ForkChildServer::runSweepChild) and streams each capture
-  // back as a 'c' frame; the parent decodes it out of the shared arena,
-  // queues the restarts, and acks — the ack handshake IS the restart-queue
-  // backpressure the in-process sweep gets from queue.push(). Any worker
-  // death mid-sweep falls back to the per-trial path for the uncaptured
-  // tail, exactly like an in-process sweep failure.
-  const auto forkSweep = [&](RestartQueue& queue, int slot) {
-    const std::size_t plannedPoints = sweepPlan.size();
-    std::size_t capturedPoints = 0;
-    bool completedAll = false;
-    CampaignMetrics::get().sweepRuns.add();
-    try {
-      bool respawned = false;
-      if (!pool->ensureWorker(slot, &respawned)) {
-        throw ChildFailure{"protocol", false, "worker fork failed", ""};
-      }
-      if (respawned) {
-        CampaignMetrics::get().workerSpawns.add();
-        CampaignMetrics::get().workerRespawns.add();
-      }
-      reinterpret_cast<BlackBox*>(pool->arena(slot))->magic = 0;
-      const pid_t pid = pool->pid(slot);
-      WireWriter req;
-      req.u8('S');
-      req.u64(static_cast<std::uint64_t>(sweepPlan.size()));
-      for (const auto& [index, trials] : sweepPlan) {
-        req.u64(index);
-        req.u64(static_cast<std::uint64_t>(trials.size()));
-      }
-      (void)pool->send(slot, req.take());
-      auto pendingEntry = sweepPlan.cbegin();
-      for (;;) {
-        WorkerPool::Reply reply = pool->recv(slot, forkDeadline(1.0));
-        if (!reply.ok) {
-          noteWorkerDeath(slot, pid, reply);
-          const ChildFailure cf = classifyDeath(reply, timeoutMs, pool->arena(slot));
-          EC_LOG_WARN("sweep worker died (" << cf.reason << ") after "
-                      << capturedPoints << "/" << plannedPoints
-                      << " capture(s); uncaptured trials fall back to the "
-                      "per-trial path");
-          break;
-        }
-        WireReader r(reply.frame);
-        const std::uint8_t tag = r.u8();
-        if (tag == 'c') {
-          const std::uint64_t index = r.u64();
-          auto capture = std::make_shared<SweepCapture>(
-              decodeCapture(r, pool->arena(slot), pool->arenaBytes()));
-          EC_CHECK_MSG(pendingEntry != sweepPlan.cend() &&
-                           pendingEntry->first == index,
-                       "fork sweep: capture out of order");
-          const std::vector<std::size_t>& trials = pendingEntry->second;
-          ++pendingEntry;
-          ++capturedPoints;
-          CampaignMetrics::get().sweepCaptures.add();
-          bool keepGoing =
-              !stopRequested() && !budgetExceeded.load() && !workersAbort.load();
-          if (keepGoing) {
+      completed = executor->sweep(
+          sweepPlan, slot, [&](std::shared_ptr<const SweepCapture> capture) {
+            EC_CHECK_MSG(pending != sweepPlan.cend() &&
+                             pending->first == capture->crashAccessIndex,
+                         "sweep: capture out of order");
+            const std::vector<std::size_t>& trials = (pending++)->second;
+            ++captured;
+            CampaignMetrics::get().sweepCaptures.add();
             for (const std::size_t t : trials) {
+              if (halted()) return false;
               claimed[t] = 1;
-              if (!queue.push({t, capture})) {
-                keepGoing = false;
-                break;
-              }
+              if (!queue.push({t, capture})) return false;
             }
-          }
-          // A non-'A' ack tells the child to wind down; it still ships its
-          // 'e' summary so the crashing run's events are accounted.
-          (void)pool->send(slot, std::string(keepGoing ? "A" : "X"));
-        } else if (tag == 'e') {
-          completedAll = r.u8() != 0;
-          (void)r.u64();  // child's capture count; we counted the 'c' frames
-          const std::string trace = r.str();
-          if (!trace.empty()) telemetry::TraceSink::instance().writeRaw(trace);
-          CampaignMetrics::get().recordRun(decodeEvents(r));
-          const std::uint64_t crashed = r.u64();
-          if (crashed > 0) {
-            telemetry::MetricsRegistry::instance()
-                .counter("runtime.crash_injections")
-                .add(crashed);
-          }
-          if (r.u8() != 0) {
-            const CampaignProfile shipped = decodeProfile(r);
-            std::lock_guard<std::mutex> lock(profileMutex_);
-            profile_.merge(shipped);
-          }
-          break;
-        } else {
-          throw std::runtime_error("fork sweep: unexpected frame tag");
-        }
-      }
-    } catch (const ChildFailure& cf) {
-      EC_LOG_WARN("sweep worker unavailable (" << cf.reason << "); trials fall "
-                  "back to the per-trial path");
-    } catch (const std::exception& e) {
-      killWorker(slot);
-      EC_LOG_WARN("fork sweep failed (" << e.what() << ") after "
-                  << capturedPoints << "/" << plannedPoints
-                  << " capture(s); uncaptured trials fall back to the "
-                  "per-trial path");
+            return !halted();
+          });
+    } catch (...) {
+      EC_LOG_WARN("sweep run failed (" << currentExceptionText() << ") after "
+                  << captured << "/" << sweepPlan.size() << " capture(s); "
+                  "uncaptured trials fall back to the per-trial path");
     }
-    if (!completedAll) {
-      CampaignMetrics::get().sweepFallbacks.add(plannedPoints - capturedPoints);
+    if (!completed) {
+      CampaignMetrics::get().sweepFallbacks.add(sweepPlan.size() - captured);
     }
     if (telemetry::tracing()) {
       telemetry::TraceEvent("sweep_end")
           .field("run", "sweep")
-          .field("captures", static_cast<std::uint64_t>(capturedPoints))
-          .field("planned", static_cast<std::uint64_t>(plannedPoints))
-          .field("completed", completedAll)
+          .field("captures", static_cast<std::uint64_t>(captured))
+          .field("planned", static_cast<std::uint64_t>(sweepPlan.size()))
+          .field("completed", completed)
           .emit();
     }
   };
 
-  // Restart worker: drain the capture queue, then fall back to the per-trial
-  // loop for anything the sweep missed. A stop request abandons the queued
-  // captures (the queue is deep — draining it would decide most of the
-  // campaign after the operator asked it to stop); in-flight restarts finish
-  // and are journaled, exactly like the per-trial path.
-  const auto sweepWorker = [&](RestartQueue& queue, int w) {
-    try {
-      for (;;) {
-        if (stopRequested() || budgetExceeded.load() || workersAbort.load()) {
-          queue.abort();
-          return;
-        }
-        auto entry = queue.pop();
-        if (!entry) break;
-        const double budget = restartBudget(*entry->capture);
-        if (forkIsolation) {
-          decideTrial(entry->trial, w, budget,
-                      [&](const std::atomic<bool>*, CrashTestRecord& record) {
-                        forkRestartAttempt(entry->trial, w, *entry->capture,
-                                           budget, record);
-                      });
-          continue;
-        }
-        decideTrial(entry->trial, w, budget,
-                    [&](const std::atomic<bool>* cancel, CrashTestRecord& record) {
-                      telemetry::ScopedTimer trialTimer(CampaignMetrics::get().trialUs);
-                      runRestart(result.golden, *entry->capture, entry->trial, cancel,
-                                 record);
-                    });
-      }
-      worker(w);
-    } catch (...) {
-      parkError();
-      queue.abort();
-    }
-  };
-
+  std::vector<std::thread> restartThreads;
+  restartThreads.reserve(static_cast<std::size_t>(threads));
+  for (int w = 0; w < threads; ++w) restartThreads.emplace_back(restartWorker, w);
   if (sweepActive) {
-    // Queue depth is the pipeline's overlap window: deep enough that the
-    // sweep outruns the restart drain and the producer joins the pool for
-    // most of the campaign, while backpressure bounds live snapshot memory
-    // (~64 MB of candidate bytes) for large apps. Never below the
-    // double-buffer floor that keeps every worker fed.
-    constexpr std::size_t kSnapshotBudgetBytes = std::size_t{64} << 20;
-    const std::size_t capacity =
-        std::max(static_cast<std::size_t>(std::max(2, 2 * threads)),
-                 kSnapshotBudgetBytes / std::max<std::size_t>(1, captureBytes));
-    RestartQueue queue(capacity);
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int w = 0; w < threads; ++w) {
-      pool.emplace_back(sweepWorker, std::ref(queue), w);
-    }
-    // The calling thread is the producer.
-    if (forkIsolation) {
-      forkSweep(queue, threads);
-    } else {
-      runSweep(queue, threads);
-    }
+    // The calling thread is the producer. Once it has nothing left to feed
+    // it joins the restart workers on the sweep's slot.
+    produceSweep(threads);
     queue.close();
-    // The producer has nothing left to feed: join the restart pool on the
-    // sweep's watchdog slot instead of idling in join() as the legacy
-    // path's calling thread does.
-    sweepWorker(queue, threads);
-    for (auto& thread : pool) thread.join();
-  } else if (threads <= 1) {
-    worker(0);
+    restartWorker(threads);
   } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int w = 0; w < threads; ++w) {
-      pool.emplace_back([&, w] {
-        try {
-          worker(w);
-        } catch (...) {
-          parkError();
-        }
-      });
-    }
-    for (auto& thread : pool) thread.join();
+    queue.close();
   }
+  for (auto& thread : restartThreads) thread.join();
 
   if (journal) journal->close();
 
@@ -2338,58 +1244,70 @@ CampaignResult CampaignRunner::run() const {
   return result;
 }
 
-void CampaignRunner::runOneTest(const GoldenStats& golden, std::uint64_t crashIndex,
-                                std::size_t trial, const std::atomic<bool>* cancel,
-                                CrashTestRecord& record) const {
-  telemetry::ScopedTimer trialTimer(CampaignMetrics::get().trialUs);
-  record = CrashTestRecord{};
-  record.crashAccessIndex = crashIndex;
-
-  // --- Crashing run -----------------------------------------------------
-  Runtime rt(config_.cache);
+std::unique_ptr<runtime::IApp> CampaignRunner::startCrashRun(
+    Runtime& rt, const std::string& traceRun, std::uint64_t crashIndex,
+    const std::atomic<bool>* cancel) const {
   rt.setBulk(config_.bulk);
   rt.setScan(config_.scan);
   rt.setPlan(config_.plan);
   applyMonitorRouting(rt);
   rt.setCancelFlag(cancel);
-  rt.setTraceRun("crash:" + std::to_string(trial));
+  rt.setTraceRun(traceRun);
   armProfile(rt);
   auto app = factory_();
   app->setup(rt);
   app->initialize(rt);
   rt.armCrash(crashIndex);
-  installFault(rt);
+  armWorkerFault(rt);
+  return app;
+}
 
+SweepCapture CampaignRunner::capturePostmortem(const Runtime& rt, const CrashEvent& at,
+                                               std::uint64_t crashIndex,
+                                               std::size_t trial) const {
+  telemetry::PhaseSpan postmortemSpan("postmortem", CampaignMetrics::get().postmortemUs,
+                                      static_cast<std::int64_t>(trial));
+  // The trial records the pre-drawn index it was armed for; the context
+  // fields come from the access that crossed it.
   SweepCapture capture;
   capture.crashAccessIndex = crashIndex;
+  capture.region = at.activeRegion;
+  capture.regionPath = at.regionPath;
+  capture.crashIteration = at.iteration;
+  // NVCT post-mortem: inconsistency rates before the caches are dropped.
+  for (const auto& object : rt.objects()) {
+    if (!object.candidate) continue;
+    capture.inconsistentRate[object.id] = rt.inconsistentRate(object.id);
+    capture.snapshots[object.id] = config_.mode == SnapshotMode::NvmImage
+                                       ? rt.dumpObjectNvm(object.id)
+                                       : rt.dumpObjectCurrent(object.id);
+  }
+  capture.restartIteration = config_.mode == SnapshotMode::NvmImage
+                                 ? rt.bookmarkedIterationNvm()
+                                 : at.iteration;
+  return capture;
+}
+
+void CampaignRunner::runOneTest(const GoldenStats& golden, std::uint64_t crashIndex,
+                                std::size_t trial, const std::atomic<bool>* cancel,
+                                CrashTestRecord& record) const {
+  record = CrashTestRecord{};
+  record.crashAccessIndex = crashIndex;
+
+  Runtime rt(config_.cache);
+  auto app = startCrashRun(rt, "crash:" + std::to_string(trial), crashIndex, cancel);
+  SweepCapture capture;
   try {
     // The span ends when the armed CrashEvent unwinds out of the try block,
     // so phase_end marks the crash instant.
     telemetry::PhaseSpan crashSpan("crash_run", CampaignMetrics::get().crashRunUs,
                                    static_cast<std::int64_t>(trial));
-    const auto run = Driver::run(*app, rt, 1, golden.finalIteration);
+    (void)Driver::run(*app, rt, 1, golden.finalIteration);
     // Determinism guarantees the armed crash fires; reaching here is a bug
     // in the app (non-deterministic access sequence).
-    (void)run;
     EC_CHECK_MSG(false, "armed crash did not fire — app is non-deterministic");
   } catch (const CrashEvent& crash) {
-    telemetry::PhaseSpan postmortemSpan("postmortem",
-                                        CampaignMetrics::get().postmortemUs,
-                                        static_cast<std::int64_t>(trial));
-    capture.region = crash.activeRegion;
-    capture.regionPath = crash.regionPath;
-    capture.crashIteration = crash.iteration;
-    // NVCT post-mortem: inconsistency rates before the caches are dropped.
-    for (const auto& object : rt.objects()) {
-      if (!object.candidate) continue;
-      capture.inconsistentRate[object.id] = rt.inconsistentRate(object.id);
-      capture.snapshots[object.id] = config_.mode == SnapshotMode::NvmImage
-                                         ? rt.dumpObjectNvm(object.id)
-                                         : rt.dumpObjectCurrent(object.id);
-    }
-    capture.restartIteration = config_.mode == SnapshotMode::NvmImage
-                                   ? rt.bookmarkedIterationNvm()
-                                   : crash.iteration;
+    capture = capturePostmortem(rt, crash, crashIndex, trial);
     rt.powerLoss();
   } catch (...) {
     // The armed crash never fired — the app (or the watchdog) threw mid-run,
@@ -2404,6 +1322,54 @@ void CampaignRunner::runOneTest(const GoldenStats& golden, std::uint64_t crashIn
   noteRun(rt);
 
   runRestart(golden, capture, trial, cancel, record);
+}
+
+bool CampaignRunner::sweepRun(
+    const GoldenStats& golden, const SweepPlan& plan, const std::atomic<bool>* cancel,
+    const std::function<bool(SweepCapture&&)>& onCapture) const {
+  Runtime rt(config_.cache);
+  std::size_t captured = 0;
+  bool completed = false;
+  try {
+    // One span covers the whole sweep crashing run; each capture's
+    // post-mortem gets its own span, stamped with the first trial sharing it.
+    telemetry::PhaseSpan crashSpan("crash_run", CampaignMetrics::get().crashRunUs);
+    std::vector<std::uint64_t> indices;
+    indices.reserve(plan.size());
+    for (const auto& [index, trials] : plan) indices.push_back(index);
+    auto app = startCrashRun(rt, "sweep", indices.back(), cancel);
+    auto pending = plan.cbegin();
+    rt.armCaptures(std::move(indices), [&](const CrashEvent& at) {
+      const auto& [index, trials] = *pending++;
+      SweepCapture capture = capturePostmortem(rt, at, index, trials.front());
+      if (telemetry::tracing()) {
+        telemetry::TraceEvent("sweep_capture")
+            .field("run", rt.traceRun())
+            .field("crash_access", index)
+            .field("region", at.activeRegion)
+            .field("iteration", at.iteration)
+            .field("trials", static_cast<std::uint64_t>(trials.size()))
+            .emit();
+      }
+      ++captured;
+      if (!onCapture(std::move(capture))) throw SweepAbort{};
+    });
+    (void)Driver::run(*app, rt, 1, golden.finalIteration);
+    EC_CHECK_MSG(false, "armed crash did not fire — app is non-deterministic");
+  } catch (const CrashEvent&) {
+    // The arranged end of the sweep: the last pending index was captured on
+    // this very access, then the crash fired.
+    completed = captured == plan.size();
+  } catch (const SweepAbort&) {
+    // Stop requested or the restart pipeline went away; not an error.
+  } catch (...) {
+    rt.powerLoss();
+    noteRun(rt);
+    throw;
+  }
+  rt.powerLoss();
+  noteRun(rt);
+  return completed;
 }
 
 void CampaignRunner::runRestart(const GoldenStats& golden, const SweepCapture& capture,

@@ -14,7 +14,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -379,6 +381,13 @@ struct CampaignResult {
   [[nodiscard]] std::map<runtime::ObjectId, double> meanInconsistentRate() const;
 };
 
+/// The sweep's capture plan: distinct crash index -> the undecided trials
+/// that drew it, ascending. Trials sharing an index share one capture.
+using SweepPlan = std::map<std::uint64_t, std::vector<std::size_t>>;
+
+class InProcessExecutor;
+class ForkExecutor;
+
 /// Runs campaigns. The factory must produce deterministic app instances: a
 /// fresh run always executes the same tracked-access sequence.
 class CampaignRunner {
@@ -392,42 +401,64 @@ class CampaignRunner {
   [[nodiscard]] CampaignResult run() const;
 
  private:
+  // The runs below are what every trial executor executes, in-process or
+  // inside a fork worker; `cancel` is the watchdog flag installed on the
+  // simulated machines (nullptr = no watchdog).
+
   /// Per-trial path: one crashing run to `crashIndex`, then runRestart.
   /// Fills `record` in place so that a mid-trial exception leaves the
   /// partial progress (crash site, region path) readable for the failure
-  /// report. `cancel` is the watchdog flag installed on both simulated
-  /// machines (nullptr = no watchdog).
+  /// report.
   void runOneTest(const GoldenStats& golden, std::uint64_t crashIndex,
                   std::size_t trial, const std::atomic<bool>* cancel,
                   CrashTestRecord& record) const;
 
-  /// Restart + S1–S4 classification from a capture. Shared verbatim by both
-  /// evaluator paths — this is what makes sweep and per-trial campaigns
-  /// byte-identical.
+  /// Restart + S1–S4 classification from a capture. Shared verbatim by the
+  /// per-trial path and the sweep — this is what makes sweep and per-trial
+  /// campaigns byte-identical.
   void runRestart(const GoldenStats& golden, const SweepCapture& capture,
                   std::size_t trial, const std::atomic<bool>* cancel,
                   CrashTestRecord& record) const;
 
-  /// Enable profiling on a simulated run's runtime (per config_.profile) and
-  /// fold its finished profile into profile_. Worker threads call the fold
-  /// concurrently, hence the mutex; the hot access paths never touch it.
-  void armProfile(runtime::Runtime& rt) const;
-  void accumulateProfile(const runtime::Runtime& rt) const;
+  /// The single sweep crashing run: captures every index of `plan` in
+  /// ascending order and hands each capture to `onCapture` (false ends the
+  /// run early). True iff every index was captured and the armed crash at
+  /// the last one fired. Any other failure propagates after the run has been
+  /// accounted (noteRun).
+  bool sweepRun(const GoldenStats& golden, const SweepPlan& plan,
+                const std::atomic<bool>* cancel,
+                const std::function<bool(SweepCapture&&)>& onCapture) const;
 
-  /// Report one finished simulated run's events + profile. In the parent
-  /// these land in the process metrics registry and profile_; inside a fork
-  /// worker they are collected per request and shipped back instead.
+  /// Crashing-run setup shared by runOneTest and sweepRun: bulk/scan/plan,
+  /// monitor routing, cancel flag, trace label and profiling on `rt`, then
+  /// the app set up and initialised with the crash armed at `crashIndex`
+  /// (plus the injected fault inside a fork worker).
+  std::unique_ptr<runtime::IApp> startCrashRun(runtime::Runtime& rt,
+                                               const std::string& traceRun,
+                                               std::uint64_t crashIndex,
+                                               const std::atomic<bool>* cancel) const;
+
+  /// NVCT post-mortem at a crash instant: rates and snapshots of every
+  /// candidate plus the restart iteration, under a `postmortem` span.
+  SweepCapture capturePostmortem(const runtime::Runtime& rt,
+                                 const runtime::CrashEvent& at,
+                                 std::uint64_t crashIndex, std::size_t trial) const;
+
+  /// Enable profiling on a simulated run's runtime (per config_.profile).
+  void armProfile(runtime::Runtime& rt) const;
+
+  /// Account one finished simulated run: its events into the memsim.*
+  /// counters and its profile into profile_. Worker threads call this
+  /// concurrently, hence the mutex; the hot access paths never touch it.
+  /// Inside a fork worker both land in the worker's registry and profile_,
+  /// which every reply ships to the parent.
   void noteRun(const runtime::Runtime& rt) const;
 
   /// Parent-side completion bookkeeping of one decided trial: campaign
   /// counters (trials, S1-S4 responses) and the trial_end trace event. Only
-  /// the deciding process runs this — fork workers never do, so the parent's
+  /// the scheduler runs this — fork workers never do, so the parent's
   /// registry stays the single source of truth.
   void commitTrial(std::size_t trial, const CrashTestRecord& record) const;
-
-  /// Arm config_.inject on a crashing run (worker children only; no-op when
-  /// no fault plan is set or no child fault context is installed).
-  void installFault(runtime::Runtime& rt) const;
 
   /// Golden run with an optional adaptive region monitor riding the access
   /// stream. With a monitor installed and monitor.trackedGolden unset, the
@@ -451,7 +482,8 @@ class CampaignRunner {
   /// objects never enter the cache hierarchy.
   void applyMonitorRouting(runtime::Runtime& rt) const;
 
-  friend struct ForkChildServer;
+  friend class InProcessExecutor;
+  friend class ForkExecutor;
 
   runtime::AppFactory factory_;
   CampaignConfig config_;

@@ -21,6 +21,9 @@ void writeCampaignCsv(const CampaignResult& campaign, std::ostream& os);
 /// Human-readable post-mortem summary of a campaign.
 void writeCampaignSummary(const CampaignResult& campaign, std::ostream& os);
 
+/// Render one region as "R<id+1>" ("main" for kMainLoopEnd).
+[[nodiscard]] std::string formatRegion(runtime::PointId region);
+
 /// Render a region path like "R2>R5" ("main" for the top level).
 [[nodiscard]] std::string formatRegionPath(
     const std::vector<runtime::PointId>& path);

@@ -36,12 +36,19 @@ std::vector<std::string> splitCsvLine(const std::string& line) {
 
 }  // namespace
 
+std::string formatRegion(runtime::PointId region) {
+  if (region == runtime::kMainLoopEnd) return "main";
+  std::string out = "R";
+  out += std::to_string(region + 1);
+  return out;
+}
+
 std::string formatRegionPath(const std::vector<runtime::PointId>& path) {
   if (path.empty()) return "main";
   std::string out;
   for (std::size_t i = 0; i < path.size(); ++i) {
     if (i) out += '>';
-    out += "R" + std::to_string(path[i] + 1);
+    out += formatRegion(path[i]);
   }
   return out;
 }
@@ -110,10 +117,7 @@ void writeCampaignSummary(const CampaignResult& campaign, std::ostream& os) {
     const auto perRegion = campaign.regionRecomputability();
     const auto perRegionCount = campaign.regionTestCounts();
     for (const auto& [region, ck] : perRegion) {
-      os << "    "
-         << (region == runtime::kMainLoopEnd ? std::string("main")
-                                             : "R" + std::to_string(region + 1))
-         << ": " << 100.0 * ck << "% (" << perRegionCount.at(region)
+      os << "    " << formatRegion(region) << ": " << 100.0 * ck << "% (" << perRegionCount.at(region)
          << " crashes)\n";
     }
     os << "  mean inconsistency per candidate:\n" << std::setprecision(2);

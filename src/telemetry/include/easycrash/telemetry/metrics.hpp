@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -72,6 +73,10 @@ class Histogram {
     return buckets_[i].load(std::memory_order_relaxed);
   }
   void reset() noexcept;
+  /// Fold in observations made elsewhere: `buckets` holds one count per
+  /// bucket (bounds().size() + 1, overflow last) and `sum` their total. The
+  /// fork evaluator ships worker-side histograms to the parent this way.
+  void absorb(const std::vector<std::uint64_t>& buckets, double sum);
 
  private:
   std::vector<double> bounds_;
@@ -97,6 +102,13 @@ class MetricsRegistry {
   /// std::map iteration keeps the key order deterministic regardless of
   /// registration order.
   void writeJson(std::ostream& os, std::string_view extraSection = {}) const;
+
+  /// Visit every counter and histogram in name order, under the registry
+  /// lock (the visitors must not call back into the registry). The fork
+  /// evaluator ships a worker's per-request instruments to the parent with it.
+  void visit(const std::function<void(const std::string&, const Counter&)>& onCounter,
+             const std::function<void(const std::string&, const Histogram&)>&
+                 onHistogram) const;
 
   /// Zero every instrument (names stay registered). For tests and for
   /// tools that want per-run snapshots.

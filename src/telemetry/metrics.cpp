@@ -45,6 +45,18 @@ void Histogram::reset() noexcept {
   sum_.store(0.0, std::memory_order_relaxed);
 }
 
+void Histogram::absorb(const std::vector<std::uint64_t>& buckets, double sum) {
+  EC_CHECK_MSG(buckets.size() == bounds_.size() + 1,
+               "absorbed histogram has a different bucket layout");
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    buckets_[i].fetch_add(buckets[i], std::memory_order_relaxed);
+    total += buckets[i];
+  }
+  count_.fetch_add(total, std::memory_order_relaxed);
+  sum_.fetch_add(sum, std::memory_order_relaxed);
+}
+
 MetricsRegistry& MetricsRegistry::instance() {
   static MetricsRegistry registry;
   return registry;
@@ -121,6 +133,14 @@ void MetricsRegistry::writeJson(std::ostream& os,
   os << "\n  }";
   if (!extraSection.empty()) os << ",\n  " << extraSection;
   os << "\n}\n";
+}
+
+void MetricsRegistry::visit(
+    const std::function<void(const std::string&, const Counter&)>& onCounter,
+    const std::function<void(const std::string&, const Histogram&)>& onHistogram) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& [name, c] : counters_) onCounter(name, *c);
+  for (const auto& [name, h] : histograms_) onHistogram(name, *h);
 }
 
 void MetricsRegistry::reset() {

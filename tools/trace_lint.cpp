@@ -20,6 +20,11 @@
 // event-type frequency table, a quick census of what a trace actually
 // contains.
 //
+// Given both a trace and a metrics snapshot, the two must agree on the
+// campaign's phases: for P in crash_run, postmortem and restart, the number
+// of phase_end events with phase=P must equal the observation count of the
+// campaign.P_us histogram, whichever executor ran the trials.
+//
 // Status mode validates one live snapshot written by nvct --status-out: a
 // single campaign_status object whose tallies are self-consistent
 // (s1+s2+s3+s4+failures == decided <= tests).
@@ -201,8 +206,9 @@ std::string lintRegionSnapshotEvent(const json::Value& value, const std::string&
   return {};
 }
 
+/// `phaseEnds` receives the number of phase_end events per phase.
 int lintTrace(const std::string& path, const std::vector<std::string>& requiredFields,
-              bool stats) {
+              bool stats, std::map<std::string, std::uint64_t>& phaseEnds) {
   std::ifstream is(path);
   if (!is) {
     std::cerr << "trace_lint: cannot open " << path << '\n';
@@ -254,6 +260,7 @@ int lintTrace(const std::string& path, const std::vector<std::string>& requiredF
     }
     ++events;
     if (stats) ++typeCounts[type->string];
+    if (type->string == "phase_end") ++phaseEnds[value->find("phase")->string];
   }
   if (events == 0) {
     std::cerr << "trace_lint: " << path << " contains no events\n";
@@ -350,7 +357,9 @@ int lintStatus(const std::string& path) {
   return 0;
 }
 
-int lintMetrics(const std::string& path, const std::vector<std::string>& requiredCounters) {
+/// `histogramCounts` receives every histogram's observation count.
+int lintMetrics(const std::string& path, const std::vector<std::string>& requiredCounters,
+                std::map<std::string, std::uint64_t>& histogramCounts) {
   std::ifstream is(path);
   if (!is) {
     std::cerr << "trace_lint: cannot open " << path << '\n';
@@ -380,8 +389,44 @@ int lintMetrics(const std::string& path, const std::vector<std::string>& require
       return 1;
     }
   }
+  const json::Value* histograms = value->find("histograms");
+  if (histograms != nullptr && histograms->isObject()) {
+    for (const auto& [name, histogram] : histograms->object) {
+      double count = 0;
+      if (!numberField(histogram, "count", &count) || count < 0) {
+        std::cerr << "trace_lint: " << path << ": histogram \"" << name
+                  << "\" missing non-negative \"count\"\n";
+        return 1;
+      }
+      histogramCounts[name] = static_cast<std::uint64_t>(count);
+    }
+  }
   std::cout << path << ": metrics ok (" << counters->object.size() << " counters)\n";
   return 0;
+}
+
+/// Trace and metrics of the same campaign: every campaign phase span must
+/// land in its histogram exactly once, so the phase_end events of phase P
+/// must number the observations of campaign.P_us. A mismatch means some
+/// execution mode lost (or double-counted) one side — e.g. fork workers
+/// whose spans reached the trace while their histograms stayed behind.
+int lintPhaseHistograms(const std::map<std::string, std::uint64_t>& phaseEnds,
+                        const std::map<std::string, std::uint64_t>& histogramCounts) {
+  int status = 0;
+  for (const std::string phase : {"crash_run", "postmortem", "restart"}) {
+    const auto spans = phaseEnds.find(phase);
+    const auto observed = histogramCounts.find("campaign." + phase + "_us");
+    const std::uint64_t spanCount = spans == phaseEnds.end() ? 0 : spans->second;
+    const std::uint64_t histCount =
+        observed == histogramCounts.end() ? 0 : observed->second;
+    if (spanCount != histCount) {
+      std::cerr << "trace_lint: " << spanCount << " phase_end event(s) with phase="
+                << phase << " but campaign." << phase << "_us counts " << histCount
+                << '\n';
+      status = 1;
+    }
+  }
+  return status;
 }
 
 int lintJournal(const std::string& path,
@@ -593,9 +638,9 @@ int main(int argc, char** argv) {
                 "comma-separated kinds the journal must record at least one "
                 "trial_failure of (e.g. crashed,killed,oom,protocol)");
   cli.addFlag("stats", "print an event-type frequency table for the trace");
-  if (!cli.parse(argc, argv)) return 0;
 
   try {
+    if (!cli.parse(argc, argv)) return 0;
     const std::string tracePath = cli.getString("trace");
     const std::string metricsPath = cli.getString("metrics");
     const std::string journalPath = cli.getString("journal");
@@ -607,12 +652,18 @@ int main(int argc, char** argv) {
       return 1;
     }
     int status = 0;
+    std::map<std::string, std::uint64_t> phaseEnds;
+    std::map<std::string, std::uint64_t> histogramCounts;
     if (!tracePath.empty()) {
       status |= lintTrace(tracePath, splitCsv(cli.getString("require-field")),
-                          cli.getFlag("stats"));
+                          cli.getFlag("stats"), phaseEnds);
     }
     if (!metricsPath.empty()) {
-      status |= lintMetrics(metricsPath, splitCsv(cli.getString("require-counter")));
+      status |= lintMetrics(metricsPath, splitCsv(cli.getString("require-counter")),
+                            histogramCounts);
+    }
+    if (status == 0 && !tracePath.empty() && !metricsPath.empty()) {
+      status |= lintPhaseHistograms(phaseEnds, histogramCounts);
     }
     if (!journalPath.empty()) {
       status |= lintJournal(journalPath,
