@@ -60,6 +60,10 @@ if [[ "$SIGNAL" == WORKER ]]; then
     sleep 0.2
   done
 
+  # The pool forks its slots in order, and pgrep lists pids ascending, so
+  # this is slot 0: a restart worker (the sweep producer's slot is forked
+  # last). Its in-flight restart dies with it, is retried, and the retry
+  # respawns the worker; the sweep itself completes without a fallback.
   WORKER_PID=$(pgrep -P "$PID" | head -n 1 || true)
   [[ -n "$WORKER_PID" ]] || { echo "FAIL: no worker child to kill"; exit 1; }
   echo "== SIGKILL worker $WORKER_PID (campaign $PID keeps running) =="
@@ -74,10 +78,15 @@ import json, sys
 counters = json.load(open(sys.argv[1]))["counters"]
 deaths = counters.get("campaign.worker_kills", 0) + counters.get(
     "campaign.worker_crashes", 0)
+respawns = counters.get("campaign.worker_respawns", 0)
+fallbacks = counters.get("campaign.sweep_fallbacks", 0)
 assert deaths >= 1, f"no worker death recorded: {deaths}"
-assert counters.get("campaign.worker_respawns", 0) >= 0
-print(f"ok: {deaths} worker death(s) recorded, "
-      f"{counters.get('campaign.worker_respawns', 0)} respawn(s)")
+# Every recorded death is followed by a retry on the same slot, whose
+# worker acquisition respawns the dead worker.
+assert respawns >= 1 and respawns == deaths, (
+    f"{deaths} worker death(s) but {respawns} respawn(s)")
+assert fallbacks == 0, f"the killed worker was the sweep's: {fallbacks} fallback(s)"
+print(f"ok: {deaths} worker death(s) recorded, {respawns} respawn(s)")
 EOF
 
   echo "== undisturbed reference run =="

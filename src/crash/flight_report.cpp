@@ -25,13 +25,6 @@ std::string fmt(const char* format, double v) {
   return buf;
 }
 
-std::string regionLabel(runtime::PointId region) {
-  if (region == runtime::kMainLoopEnd) return "main";
-  std::string label = "R";
-  label += std::to_string(region);
-  return label;
-}
-
 /// Nearest-rank percentile of an ascending-sorted sample.
 double percentile(const std::vector<double>& sorted, double p) {
   if (sorted.empty()) return 0.0;
@@ -293,9 +286,10 @@ std::string renderFlightReport(const JournalReplay& journal,
     std::array<int, 4> counts{};
     long long extraIterations = 0;
   };
-  std::map<std::string, RegionStats> regions;  // keyed by formatted path
+  // Keyed by the path's ids, so rows order numerically (R2 before R10).
+  std::map<std::vector<runtime::PointId>, RegionStats> regions;
   for (const auto& [trial, record] : journal.trials) {
-    RegionStats& stats = regions[formatRegionPath(record.regionPath)];
+    RegionStats& stats = regions[record.regionPath];
     stats.trials += 1;
     stats.counts[static_cast<std::size_t>(record.response)] += 1;
     if (record.response == Response::S2) {
@@ -305,8 +299,8 @@ std::string renderFlightReport(const JournalReplay& journal,
   md << "## Per-region outcomes\n\n";
   md << "| region | trials | S1 | S2 | S3 | S4 | recomputability | avg extra iters |\n";
   md << "|---|---:|---:|---:|---:|---:|---:|---:|\n";
-  for (const auto& [region, stats] : regions) {
-    md << "| `" << region << "` | " << stats.trials;
+  for (const auto& [path, stats] : regions) {
+    md << "| `" << formatRegionPath(path) << "` | " << stats.trials;
     for (int s = 0; s < 4; ++s) md << " | " << stats.counts[static_cast<std::size_t>(s)];
     md << " | "
        << fmt("%.4f", static_cast<double>(stats.counts[0]) / stats.trials) << " | "
@@ -401,7 +395,7 @@ std::string renderFlightReport(const JournalReplay& journal,
       md << "### Region access shares\n\n";
       md << "| region | accesses | share |\n|---|---:|---:|\n";
       for (const auto& [region, accesses] : profile->regionAccesses) {
-        md << "| `" << regionLabel(region) << "` | " << accesses << " | "
+        md << "| `" << formatRegion(region) << "` | " << accesses << " | "
            << fmt("%.1f%%", totalAccesses > 0
                                 ? 100.0 * static_cast<double>(accesses) /
                                       static_cast<double>(totalAccesses)

@@ -42,18 +42,11 @@ CacheHierarchy::Resident CacheHierarchy::lowestResident(
 
 std::span<const std::uint8_t> CacheHierarchy::dirtyBlockData(
     std::uint64_t blockAddr) const {
-  const DirtyBlockIndex::Owner own = dirtyIndex_.owner(blockAddr);
-  const CacheLevel& level = levels_[own.level];
-  std::uint32_t line = own.line;
-  if (!own.lineKnown) {
-    const auto probed = level.find(blockAddr);
-    EC_DCHECK_MSG(probed.has_value(), "dirty-indexed block not resident");
-    line = *probed;
-  }
-  EC_DCHECK_MSG(level.valid(line) && level.dirty(line) &&
-                    level.blockAddr(line) == blockAddr,
+  const CacheLevel& level = levels_[dirtyIndex_.ownerLevel(blockAddr)];
+  const auto line = level.find(blockAddr);
+  EC_DCHECK_MSG(line.has_value() && level.dirty(*line),
                 "dirty-index owner record out of sync");
-  return level.data(line);
+  return level.data(*line);
 }
 
 void CacheHierarchy::handleEviction(std::size_t level, CacheLevel::Evicted& victim) {
@@ -63,8 +56,8 @@ void CacheHierarchy::handleEviction(std::size_t level, CacheLevel::Evicted& vict
   // freshest copy — the one closest to the CPU — is applied last and wins
   // when several levels hold dirty data.
   for (std::size_t upper = level; upper-- > 0;) {
-    if (levels_[upper].find(victim.blockAddr)) {
-      levels_[upper].extractInto(victim.blockAddr, mergeScratch_);
+    if (const auto line = levels_[upper].find(victim.blockAddr)) {
+      levels_[upper].extractLineInto(*line, mergeScratch_);
       if (mergeScratch_.dirty) {
         std::swap(victim.data, mergeScratch_.data);
         victim.dirty = true;
@@ -438,17 +431,16 @@ std::uint64_t CacheHierarchy::inconsistentBytesScalar(std::uint64_t addr,
   const std::uint64_t last = blockBase(addr + size - 1);
   for (std::uint64_t base = first; base <= last; base += config_.blockSize) {
     bool dirtyAnywhere = false;
-    std::size_t lowest = kNone;
+    Resident lowest;
     for (std::size_t i = 0; i < levels_.size(); ++i) {
       if (const auto line = levels_[i].find(base)) {
-        if (lowest == kNone) lowest = i;
+        if (lowest.level == kNone) lowest = {i, *line};
         dirtyAnywhere = dirtyAnywhere || levels_[i].dirty(*line);
       }
     }
     if (!dirtyAnywhere) continue;  // clean or absent copies match NVM
 
-    const auto line = levels_[lowest].find(base);
-    const auto cached = levels_[lowest].data(*line);
+    const auto cached = levels_[lowest.level].data(lowest.line);
     nvm_.read(base, nvmBlock);
 
     // Only count bytes inside [addr, addr+size).
@@ -498,6 +490,7 @@ void CacheHierarchy::invalidateAll() {
 }
 
 void CacheHierarchy::checkInvariants() const {
+  for (const CacheLevel& level : levels_) level.checkDirectory();
   for (std::size_t i = 0; i + 1 < levels_.size(); ++i) {
     levels_[i].forEachValid([&](std::uint64_t blockAddr, bool dirty,
                                 std::span<const std::uint8_t> data) {

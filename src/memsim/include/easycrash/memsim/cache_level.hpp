@@ -6,15 +6,25 @@
 // objects differ between the (lost) caches and the (surviving) NVM image?
 //
 // Hot-path design (docs/INTERNALS.md "Simulator performance"):
+//  - residency lookup is O(1): a flat block directory indexed by
+//    `blockAddr >> log2(blockSize)` holds the resident line index + 1 (0 =
+//    absent). It grows on demand to the highest block ever inserted, so it
+//    costs 4 B per block of address space per level — a sixteenth of the
+//    64 B per block of the NVM image it shadows — and every residency change
+//    (insert, noteRemoved, invalidateAll) keeps it exact;
+//  - find() is a one-entry MRU check of (blockAddr, line) plus one directory
+//    load, so the common case — consecutive accesses inside the same 64B
+//    block — touches neither the directory nor the line array;
+//  - a line is invalid exactly when its lastUse is 0 (ticks start at 1), so
+//    insert() picks its victim as the first way with the minimum lastUse —
+//    "first invalid way, else the LRU way" — with no data-dependent exit;
 //  - set selection uses a shift + mask when the set count is a power of two
 //    (a predictable-branch modulo fallback covers geometries like the Xeon
 //    Gold 6126 L3, whose 11-way layout yields a non-power-of-two set count);
-//  - find() keeps a one-entry MRU cache of (blockAddr, line) so the common
-//    case — consecutive accesses inside the same 64B block — skips the
-//    associative probe entirely;
-//  - insert()/extractInto() copy victim state into caller-owned scratch
-//    buffers and return line indices, so the miss/evict flow performs no heap
-//    allocation and no probe-after-mutation double lookups;
+//  - insert()/extractLineInto() copy victim state into caller-owned scratch
+//    buffers and take or return line indices, so the miss/evict flow
+//    allocates nothing and a caller that already found a line acts on it
+//    without a second lookup;
 //  - valid/dirty line counts are maintained incrementally, so validLines() /
 //    dirtyLines() and the drain path never scan the full line array.
 #pragma once
@@ -75,15 +85,14 @@ class CacheLevel {
   /// returned by value.
   std::optional<Evicted> insert(std::uint64_t blockAddr);
 
-  /// Remove a resident block without write-back, copying its state into
-  /// `out` (reusing its buffer).
-  void extractInto(std::uint64_t blockAddr, Evicted& out);
+  /// Remove the block held by valid `line` without write-back, copying its
+  /// state into `out` (reusing its buffer).
+  void extractLineInto(std::uint32_t line, Evicted& out);
 
-  /// Allocating convenience wrapper around extractInto().
+  /// Allocating convenience wrapper: find + extractLineInto(); the block
+  /// must be resident.
   Evicted extract(std::uint64_t blockAddr);
 
-  /// Drop a block if resident (no write-back, state discarded).
-  void invalidate(std::uint64_t blockAddr);
   /// Drop a line by index (no write-back); the line must be valid.
   void invalidateLine(std::uint32_t line);
   /// Drop everything (simulates power loss).
@@ -95,15 +104,17 @@ class CacheLevel {
   [[nodiscard]] std::span<const std::uint8_t> data(std::uint32_t line) const {
     return {storage_.data() + static_cast<std::size_t>(line) * blockSize_, blockSize_};
   }
-  [[nodiscard]] bool valid(std::uint32_t line) const { return lines_[line].valid; }
+  [[nodiscard]] bool valid(std::uint32_t line) const {
+    return lines_[line].lastUse != 0;
+  }
   [[nodiscard]] bool dirty(std::uint32_t line) const { return lines_[line].dirty; }
   void setDirty(std::uint32_t line, bool value) {
     Line& l = lines_[line];
-    EC_DCHECK_MSG(l.valid, "setDirty on an invalid line");
+    EC_DCHECK_MSG(l.lastUse != 0, "setDirty on an invalid line");
     if (l.dirty != value) {
       if (value) {
         ++dirtyCount_;
-        if (dirtyIndex_ != nullptr) dirtyIndex_->add(l.blockAddr, levelId_, line);
+        if (dirtyIndex_ != nullptr) dirtyIndex_->add(l.blockAddr, levelId_);
       } else {
         --dirtyCount_;
         if (dirtyIndex_ != nullptr) dirtyIndex_->remove(l.blockAddr, levelId_);
@@ -122,7 +133,7 @@ class CacheLevel {
   template <typename Fn>
   void forEachValid(Fn&& fn) const {
     for (std::uint32_t i = 0; i < lines_.size(); ++i) {
-      if (lines_[i].valid) fn(lines_[i].blockAddr, lines_[i].dirty, data(i));
+      if (valid(i)) fn(lines_[i].blockAddr, lines_[i].dirty, data(i));
     }
   }
 
@@ -133,6 +144,12 @@ class CacheLevel {
   }
   [[nodiscard]] std::uint64_t validLines() const { return validCount_; }
   [[nodiscard]] std::uint64_t dirtyLines() const { return dirtyCount_; }
+
+  /// Check the block directory against the line tags, both ways: every
+  /// valid line is the directory's entry for its block and sits in that
+  /// block's set, and every non-zero entry names a valid line holding that
+  /// block. Throws (EC_CHECK) on the first mismatch. O(lines + directory).
+  void checkDirectory() const;
 
   /// Attach the owning hierarchy's dirty-block index: every dirty-membership
   /// transition of a line in this level (setDirty flip, removal of a dirty
@@ -150,8 +167,7 @@ class CacheLevel {
  private:
   struct Line {
     std::uint64_t blockAddr = 0;
-    std::uint64_t lastUse = 0;
-    bool valid = false;
+    std::uint64_t lastUse = 0;  ///< 0 <=> invalid; valid lines hold ticks >= 1
     bool dirty = false;
   };
 
@@ -162,6 +178,8 @@ class CacheLevel {
   [[nodiscard]] std::uint32_t lineIndex(std::uint64_t set, std::uint32_t way) const {
     return static_cast<std::uint32_t>(set * assoc_ + way);
   }
+  /// Bookkeeping for a valid line leaving the level: counters, dirty index,
+  /// MRU entry and directory. The caller then marks the line invalid.
   void noteRemoved(const Line& line);
 
   std::uint32_t blockSize_;
@@ -175,10 +193,14 @@ class CacheLevel {
   std::uint64_t dirtyCount_ = 0;
   std::vector<Line> lines_;
   std::vector<std::uint8_t> storage_;
+  // Block directory: directory_[blockAddr >> blockShift_] is the resident
+  // line index + 1, 0 when the block is absent (or beyond the directory's
+  // size, which insert() grows to cover each block it places).
+  std::vector<std::uint32_t> directory_;
   DirtyBlockIndex* dirtyIndex_ = nullptr;  ///< shared per-hierarchy, may be null
   std::uint32_t levelId_ = 0;              ///< this level's bit in the dirty mask
 
-  // One-entry MRU cache consulted by find() before the associative probe.
+  // One-entry MRU cache consulted by find() before the directory.
   // Invalidation rules: cleared whenever the cached block leaves this level
   // (extract/invalidate/invalidateAll) and redirected on insert (the new
   // line is by definition the most recently used).

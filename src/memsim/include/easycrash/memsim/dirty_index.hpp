@@ -18,10 +18,9 @@
 // copy lives without probing every level: a clean copy can only sit closer
 // to the CPU than the lowest dirty bit, and it was filled from (and is
 // frozen equal to) that dirty copy, so reading the lowest dirty level is
-// equivalent to reading the lowest resident level. add() additionally
-// caches the line index for the lowest dirty level, letting the common case
-// skip the set-associative probe entirely. Range iteration is served from a
-// sorted key cache rebuilt lazily — mutations are O(1) amortised during the
+// equivalent to reading the lowest resident level, found with one O(1)
+// directory lookup in that level. Range iteration is served from a sorted
+// key cache rebuilt lazily — mutations are O(1) amortised during the
 // simulated run, and the one sort is paid at the first scan after the run
 // stops.
 #pragma once
@@ -38,30 +37,13 @@ namespace easycrash::memsim {
 
 class DirtyBlockIndex {
  public:
-  /// Where a block's freshest dirty copy lives. `line` is only meaningful
-  /// when `lineKnown`; otherwise the caller re-probes `level` (the hint is
-  /// dropped when the lowest dirty copy migrates down a level, e.g. an L1
-  /// eviction merging into an already-dirty L2 line).
-  struct Owner {
-    std::uint32_t level = 0;
-    std::uint32_t line = 0;
-    bool lineKnown = false;
-  };
-
-  /// Level `level` now holds a dirty copy of `blockAddr` in slot `line`.
-  void add(std::uint64_t blockAddr, std::uint32_t level, std::uint32_t line) {
+  /// Level `level` now holds a dirty copy of `blockAddr`.
+  void add(std::uint64_t blockAddr, std::uint32_t level) {
     EC_DCHECK_MSG(level < 64, "dirty index tracks at most 64 levels");
-    Entry& e = entries_[blockAddr];
-    EC_DCHECK_MSG((e.mask >> level & 1) == 0, "level already holds a dirty copy");
-    if (e.mask == 0) {
-      sortedStale_ = true;
-      e.line = line;
-      e.lineKnown = true;
-    } else if (level < lowestLevel(e.mask)) {
-      e.line = line;
-      e.lineKnown = true;
-    }
-    e.mask |= 1ULL << level;
+    std::uint64_t& mask = entries_[blockAddr];
+    EC_DCHECK_MSG((mask >> level & 1) == 0, "level already holds a dirty copy");
+    if (mask == 0) sortedStale_ = true;
+    mask |= 1ULL << level;
   }
 
   /// Level `level`'s dirty copy of `blockAddr` went away (cleaned, merged or
@@ -69,15 +51,12 @@ class DirtyBlockIndex {
   void remove(std::uint64_t blockAddr, std::uint32_t level) {
     const auto it = entries_.find(blockAddr);
     EC_DCHECK_MSG(it != entries_.end(), "dirty index remove of untracked block");
-    Entry& e = it->second;
-    EC_DCHECK_MSG((e.mask >> level & 1) != 0, "level holds no dirty copy");
-    const bool wasLowest = lowestLevel(e.mask) == level;
-    e.mask &= ~(1ULL << level);
-    if (e.mask == 0) {
+    std::uint64_t& mask = it->second;
+    EC_DCHECK_MSG((mask >> level & 1) != 0, "level holds no dirty copy");
+    mask &= ~(1ULL << level);
+    if (mask == 0) {
       entries_.erase(it);
       sortedStale_ = true;
-    } else if (wasLowest) {
-      e.lineKnown = false;  // hint referred to the removed level
     }
   }
 
@@ -92,13 +71,12 @@ class DirtyBlockIndex {
     return entries_.find(blockAddr) != entries_.end();
   }
 
-  /// Lowest-level dirty copy of `blockAddr` — the freshest value the block
-  /// can have. Must only be called for tracked blocks (contains()).
-  [[nodiscard]] Owner owner(std::uint64_t blockAddr) const {
+  /// Level of the lowest dirty copy of `blockAddr` — the freshest value the
+  /// block can have. Must only be called for tracked blocks (contains()).
+  [[nodiscard]] std::uint32_t ownerLevel(std::uint64_t blockAddr) const {
     const auto it = entries_.find(blockAddr);
-    EC_DCHECK_MSG(it != entries_.end(), "owner() of untracked block");
-    const Entry& e = it->second;
-    return {lowestLevel(e.mask), e.line, e.lineKnown};
+    EC_DCHECK_MSG(it != entries_.end(), "ownerLevel() of untracked block");
+    return static_cast<std::uint32_t>(std::countr_zero(it->second));
   }
 
   /// Number of distinct dirty blocks.
@@ -115,16 +93,6 @@ class DirtyBlockIndex {
   }
 
  private:
-  struct Entry {
-    std::uint64_t mask = 0;  // bit l set: attached level l holds a dirty copy
-    std::uint32_t line = 0;  // slot at lowestLevel(mask), valid iff lineKnown
-    bool lineKnown = false;
-  };
-
-  [[nodiscard]] static std::uint32_t lowestLevel(std::uint64_t mask) {
-    return static_cast<std::uint32_t>(std::countr_zero(mask));
-  }
-
   void refreshSorted() const {
     if (!sortedStale_) return;
     sorted_.clear();
@@ -134,7 +102,8 @@ class DirtyBlockIndex {
     sortedStale_ = false;
   }
 
-  std::unordered_map<std::uint64_t, Entry> entries_;
+  // Block -> mask; bit l set: attached level l holds a dirty copy.
+  std::unordered_map<std::uint64_t, std::uint64_t> entries_;
   // Sorted key cache backing forEachIn; mutable so the const observation
   // paths (peek/inconsistentBytes) can rebuild it lazily after mutations.
   mutable std::vector<std::uint64_t> sorted_;

@@ -147,8 +147,9 @@ class CacheHierarchy {
   [[nodiscard]] std::size_t levelCount() const { return levels_.size(); }
   [[nodiscard]] const CacheLevel& level(std::size_t i) const { return levels_[i]; }
 
-  /// Internal consistency check (inclusivity + data coherence of clean
-  /// copies). Intended for tests; throws std::logic_error on violation.
+  /// Internal consistency check (inclusivity, data coherence of clean
+  /// copies, and every level's block directory against its line tags).
+  /// Intended for tests; throws std::logic_error on violation.
   void checkInvariants() const;
 
   /// Enable the sampled access profile: per-stride touch counters fed only by
@@ -210,9 +211,9 @@ class CacheHierarchy {
   };
   [[nodiscard]] Resident lowestResident(std::uint64_t blockAddr) const;
 
-  /// Freshest copy of a dirty-indexed block, served from the index's owner
-  /// record: zero probes when the line hint is live, one single-level probe
-  /// otherwise. Only valid while dirtyIndex_.contains(blockAddr).
+  /// Freshest copy of a dirty-indexed block: one directory lookup in the
+  /// level the index names as its lowest dirty copy. Only valid while
+  /// dirtyIndex_.contains(blockAddr).
   [[nodiscard]] std::span<const std::uint8_t> dirtyBlockData(
       std::uint64_t blockAddr) const;
 

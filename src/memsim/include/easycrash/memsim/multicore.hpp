@@ -109,7 +109,8 @@ class MulticoreSystem {
   [[nodiscard]] int cores() const { return static_cast<int>(private_.size()); }
 
   /// Coherence invariant check: at most one Modified copy per block; Shared
-  /// copies identical; every private line present in the inclusive LLC.
+  /// copies identical; every private line present in the inclusive LLC;
+  /// every cache's block directory agrees with its line tags.
   void checkInvariants() const;
 
  private:
@@ -135,9 +136,9 @@ class MulticoreSystem {
   /// Freshest data for a block: Modified owner's copy > LLC > NVM.
   void freshestBlock(std::uint64_t blockAddr, std::span<std::uint8_t> out) const;
 
-  /// Freshest copy of a dirty-indexed block, served from the index's owner
-  /// record: zero probes when the line hint is live, one single-cache probe
-  /// otherwise. Only valid while dirtyIndex_.contains(blockAddr).
+  /// Freshest copy of a dirty-indexed block: one directory lookup in the
+  /// cache the index names as its lowest dirty copy. Only valid while
+  /// dirtyIndex_.contains(blockAddr).
   [[nodiscard]] std::span<const std::uint8_t> dirtyBlockData(
       std::uint64_t blockAddr) const;
 
@@ -168,6 +169,8 @@ class MulticoreSystem {
   CacheLevel::Evicted evictScratch_;
   CacheLevel::Evicted mergeScratch_;
   std::vector<std::uint8_t> fillScratch_;
+  // flushBlock's per-core line index (-1 = absent), one lookup per cache.
+  std::vector<std::int64_t> flushLines_;
 };
 
 }  // namespace easycrash::memsim

@@ -34,6 +34,7 @@ MulticoreSystem::MulticoreSystem(MulticoreConfig config, NvmStore& nvm)
   llc_.attachDirtyIndex(&dirtyIndex_, static_cast<std::uint32_t>(private_.size()));
   fillScratch_.resize(config_.blockSize);
   scanImage_.resize(config_.blockSize);
+  flushLines_.resize(private_.size());
 }
 
 void MulticoreSystem::privateVictimToLlc(int core, const CacheLevel::Evicted& victim) {
@@ -50,8 +51,8 @@ void MulticoreSystem::privateVictimToLlc(int core, const CacheLevel::Evicted& vi
 void MulticoreSystem::llcVictim(CacheLevel::Evicted& victim) {
   // Back-invalidate every core; at most one holds a Modified (fresher) copy.
   for (auto& cache : private_) {
-    if (cache.find(victim.blockAddr)) {
-      cache.extractInto(victim.blockAddr, mergeScratch_);
+    if (const auto line = cache.find(victim.blockAddr)) {
+      cache.extractLineInto(*line, mergeScratch_);
       if (mergeScratch_.dirty) {
         std::swap(victim.data, mergeScratch_.data);
         victim.dirty = true;
@@ -77,8 +78,9 @@ std::uint32_t MulticoreSystem::acquire(int core, std::uint64_t blockAddr,
       // S -> M upgrade: invalidate every other copy.
       for (int peer = 0; peer < cores(); ++peer) {
         if (peer == core) continue;
-        if (private_[static_cast<std::size_t>(peer)].find(blockAddr)) {
-          private_[static_cast<std::size_t>(peer)].invalidate(blockAddr);
+        CacheLevel& theirs = private_[static_cast<std::size_t>(peer)];
+        if (const auto theirLine = theirs.find(blockAddr)) {
+          theirs.invalidateLine(*theirLine);
           ev.invalidationsSent += 1;
         }
       }
@@ -105,7 +107,7 @@ std::uint32_t MulticoreSystem::acquire(int core, std::uint64_t blockAddr,
       ev.ownershipTransfers += 1;
     }
     if (forWrite) {
-      theirs.invalidate(blockAddr);
+      theirs.invalidateLine(*line);
       ev.invalidationsSent += 1;
     }
   }
@@ -217,19 +219,12 @@ void MulticoreSystem::storeRange(int core, std::uint64_t addr,
 
 std::span<const std::uint8_t> MulticoreSystem::dirtyBlockData(
     std::uint64_t blockAddr) const {
-  const DirtyBlockIndex::Owner own = dirtyIndex_.owner(blockAddr);
-  const CacheLevel& cache =
-      own.level < private_.size() ? private_[own.level] : llc_;
-  std::uint32_t line = own.line;
-  if (!own.lineKnown) {
-    const auto probed = cache.find(blockAddr);
-    EC_DCHECK_MSG(probed.has_value(), "dirty-indexed block not resident");
-    line = *probed;
-  }
-  EC_DCHECK_MSG(cache.valid(line) && cache.dirty(line) &&
-                    cache.blockAddr(line) == blockAddr,
+  const std::uint32_t owner = dirtyIndex_.ownerLevel(blockAddr);
+  const CacheLevel& cache = owner < private_.size() ? private_[owner] : llc_;
+  const auto line = cache.find(blockAddr);
+  EC_DCHECK_MSG(line.has_value() && cache.dirty(*line),
                 "dirty-index owner record out of sync");
-  return cache.data(line);
+  return cache.data(*line);
 }
 
 void MulticoreSystem::freshestBlock(std::uint64_t blockAddr,
@@ -255,13 +250,20 @@ void MulticoreSystem::flushBlock(std::uint64_t addr, FlushKind kind) {
   const std::uint64_t base = blockBase(addr);
   CoherenceEvents& ev = events_[0];
 
-  bool resident = llc_.find(base).has_value();
-  bool dirtyAnywhere = false;
-  if (const auto line = llc_.find(base)) dirtyAnywhere = llc_.dirty(*line);
-  for (const auto& cache : private_) {
-    if (const auto line = cache.find(base)) {
-      resident = true;
-      dirtyAnywhere = dirtyAnywhere || cache.dirty(*line);
+  // One lookup per cache; every later step reuses the line indices. The
+  // freshest copy is the Modified owner's, else the LLC's (freshestBlock()).
+  const auto llcLine = llc_.find(base);
+  bool resident = llcLine.has_value();
+  bool dirtyAnywhere = llcLine && llc_.dirty(*llcLine);
+  std::span<const std::uint8_t> owner;
+  for (std::size_t c = 0; c < private_.size(); ++c) {
+    const auto line = private_[c].find(base);
+    flushLines_[c] = line ? static_cast<std::int64_t>(*line) : -1;
+    if (!line) continue;
+    resident = true;
+    if (private_[c].dirty(*line)) {
+      dirtyAnywhere = true;
+      if (owner.empty()) owner = private_[c].data(*line);
     }
   }
 
@@ -270,31 +272,36 @@ void MulticoreSystem::flushBlock(std::uint64_t addr, FlushKind kind) {
     return;
   }
   if (dirtyAnywhere) {
+    if (owner.empty()) owner = llc_.data(*llcLine);
     std::span<std::uint8_t> fresh(fillScratch_);
-    freshestBlock(base, fresh);
+    std::copy(owner.begin(), owner.end(), fresh.begin());
     nvm_.writeBlock(base, fresh);
     ev.nvmBlockWrites += 1;
     ev.flushDirty += 1;
     // All copies become clean and identical to NVM.
-    for (auto& cache : private_) {
-      if (const auto line = cache.find(base)) {
-        auto dst = cache.data(*line);
-        std::copy(fresh.begin(), fresh.end(), dst.begin());
-        cache.setDirty(*line, false);
-      }
-    }
-    if (const auto line = llc_.find(base)) {
-      auto dst = llc_.data(*line);
+    for (std::size_t c = 0; c < private_.size(); ++c) {
+      if (flushLines_[c] < 0) continue;
+      const auto line = static_cast<std::uint32_t>(flushLines_[c]);
+      auto dst = private_[c].data(line);
       std::copy(fresh.begin(), fresh.end(), dst.begin());
-      llc_.setDirty(*line, false);
+      private_[c].setDirty(line, false);
+    }
+    if (llcLine) {
+      auto dst = llc_.data(*llcLine);
+      std::copy(fresh.begin(), fresh.end(), dst.begin());
+      llc_.setDirty(*llcLine, false);
     }
   } else {
     ev.flushClean += 1;
   }
 
   if (kind != FlushKind::Clwb) {
-    for (auto& cache : private_) cache.invalidate(base);
-    llc_.invalidate(base);
+    for (std::size_t c = 0; c < private_.size(); ++c) {
+      if (flushLines_[c] >= 0) {
+        private_[c].invalidateLine(static_cast<std::uint32_t>(flushLines_[c]));
+      }
+    }
+    if (llcLine) llc_.invalidateLine(*llcLine);
   }
 }
 
@@ -480,6 +487,8 @@ CoherenceEvents MulticoreSystem::totalEvents() const {
 }
 
 void MulticoreSystem::checkInvariants() const {
+  for (const CacheLevel& cache : private_) cache.checkDirectory();
+  llc_.checkDirectory();
   std::vector<std::uint8_t> image(config_.blockSize);
   for (int core = 0; core < cores(); ++core) {
     private_[static_cast<std::size_t>(core)].forEachValid(

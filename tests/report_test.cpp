@@ -1,12 +1,18 @@
-// Tests for campaign reporting: CSV round trip, region-path formatting and
-// the human-readable summary.
+// Tests for campaign reporting: CSV round trip, region-path formatting, the
+// human-readable summary and the region labels of the `nvct report` markdown.
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "easycrash/apps/registry.hpp"
+#include "easycrash/crash/flight_report.hpp"
 #include "easycrash/crash/report.hpp"
+#include "easycrash/crash/resilience.hpp"
 
 namespace cr = easycrash::crash;
 namespace rt = easycrash::runtime;
@@ -19,6 +25,24 @@ cr::CampaignResult smallCampaign() {
   const cr::CampaignRunner runner(easycrash::apps::findBenchmark("is").factory,
                                   config);
   return runner.run();
+}
+
+/// Region labels of one markdown table, in row order: the first backticked
+/// cell of each row after `heading`, up to the next blank line.
+std::vector<std::string> tableLabels(const std::string& md, const std::string& heading) {
+  std::vector<std::string> labels;
+  std::size_t pos = md.find(heading);
+  if (pos == std::string::npos) return labels;
+  pos = md.find("\n|", pos);
+  while (pos != std::string::npos && pos + 1 < md.size() && md[pos + 1] == '|') {
+    const std::size_t end = md.find('\n', pos + 1);
+    const std::string row = md.substr(pos + 1, end - pos - 1);
+    if (row.rfind("| `", 0) == 0) {
+      labels.push_back(row.substr(3, row.find('`', 3) - 3));
+    }
+    pos = end;
+  }
+  return labels;
 }
 
 }  // namespace
@@ -86,4 +110,53 @@ TEST(Report, CrashRecordsCarryRegionPaths) {
         << "IS crashes always occur inside a first-level region";
     EXPECT_EQ(test.regionPath.back(), test.region);
   }
+}
+
+TEST(Report, FlightReportNamesRegionsLikeTheCsvInIdOrder) {
+  // Twelve regions, ids 0..11, plus one nested path: every table of the
+  // report renders a region as the CSV does (id + 1), and orders rows by the
+  // path's ids, so R2 precedes R10 and R2>R10 sits right after R2.
+  cr::JournalReplay journal;
+  journal.header.app = "synthetic";
+  journal.header.tests = 13;
+  for (rt::PointId id = 0; id < 12; ++id) {
+    cr::CrashTestRecord record;
+    record.region = id;
+    record.regionPath = {id};
+    record.response = cr::Response::S1;
+    journal.trials[static_cast<std::size_t>(id)] = record;
+  }
+  cr::CrashTestRecord nested;
+  nested.region = 9;
+  nested.regionPath = {1, 9};
+  nested.response = cr::Response::S2;
+  nested.extraIterations = 2;
+  journal.trials[12] = nested;
+
+  cr::CampaignProfile profile;
+  profile.strideBytes = 64;
+  profile.runs = 1;
+  profile.regionAccesses[rt::kMainLoopEnd] = 5;
+  for (rt::PointId id = 0; id < 12; ++id) {
+    profile.regionAccesses[id] = 10 + static_cast<std::uint64_t>(id);
+  }
+  const std::string metrics = testing::TempDir() + "report_region_labels.json";
+  {
+    std::ofstream out(metrics);
+    out << "{\"profile\": " << cr::campaignProfileJson(profile) << "}\n";
+  }
+  const std::string md = cr::renderFlightReport(journal, "", metrics);
+  std::remove(metrics.c_str());
+
+  std::vector<std::string> outcomes{"R1", "R2", "R2>R10"};
+  std::vector<std::string> shares{"main"};
+  for (int r = 1; r <= 12; ++r) {
+    std::string label = "R";
+    label += std::to_string(r);
+    if (r > 2) outcomes.push_back(label);
+    shares.push_back(label);
+  }
+  EXPECT_EQ(tableLabels(md, "## Per-region outcomes"), outcomes);
+  EXPECT_EQ(tableLabels(md, "### Region access shares"), shares);
+  EXPECT_EQ(md.find("`R0`"), std::string::npos) << md;
 }
