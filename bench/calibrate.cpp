@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
             .cell(ec::formatBytes(golden.footprintBytes))
             .cell(ec::formatBytes(golden.candidateBytes))
             .cell(static_cast<long long>(golden.regionCount))
-            .cell(golden.verifyMetric, 10)
+            .cell(golden.verification.metric, 10)
             .cell(ms, 1)
             .cell("-").cell("-").cell("-").cell("-").cell("-").cell("-");
       } else {
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
             .cell(ec::formatBytes(result.golden.footprintBytes))
             .cell(ec::formatBytes(result.golden.candidateBytes))
             .cell(static_cast<long long>(result.golden.regionCount))
-            .cell(result.golden.verifyMetric, 10)
+            .cell(result.golden.verification.metric, 10)
             .cell(ms, 1)
             .cell(static_cast<long long>(counts[0]))
             .cell(static_cast<long long>(counts[1]))

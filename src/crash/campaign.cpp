@@ -88,7 +88,10 @@ CampaignMetrics& CampaignMetrics::get() {
                     telemetry::Histogram::exponentialBounds(10.0, 4.0, 12)),
       reg.histogram("campaign.restart_us",
                     telemetry::Histogram::exponentialBounds(50.0, 4.0, 12)),
-      reg.gauge("campaign.sweep_queue_depth")};
+      reg.counter("campaign.restart_rejoins"),
+      reg.counter("campaign.restart_iterations_skipped"),
+      reg.gauge("campaign.sweep_queue_depth"),
+      reg.gauge("campaign.restart_queue_peak_bytes")};
   return m;
 }
 
@@ -123,6 +126,12 @@ struct PendingRestart {
   std::shared_ptr<const SweepCapture> capture;
 };
 
+std::uint64_t snapshotBytes(const SweepCapture& capture) {
+  std::uint64_t bytes = 0;
+  for (const auto& [id, snapshot] : capture.snapshots) bytes += snapshot.size();
+  return bytes;
+}
+
 /// Thrown by the sweep's capture hook to end the crashing run early: a stop
 /// was requested, or the restart pipeline went away (abort/budget).
 struct SweepAbort {};
@@ -132,6 +141,11 @@ struct SweepAbort {};
 /// how many object snapshots are alive at once — and returns false once the
 /// queue is aborted. pop() blocks for an entry and drains what was already
 /// queued after close(); abort() drops everything and wakes both sides.
+///
+/// The queue also tracks the snapshot bytes it holds, counting a capture
+/// shared by several trials once. Its entries are pushed consecutively and
+/// leave in FIFO order, so a capture is charged when it enters behind a
+/// different one and released when its last entry leaves.
 class RestartQueue {
  public:
   explicit RestartQueue(std::size_t capacity) : capacity_(capacity) {}
@@ -140,6 +154,13 @@ class RestartQueue {
     std::unique_lock<std::mutex> lock(mutex_);
     spaceCv_.wait(lock, [&] { return entries_.size() < capacity_ || aborted_; });
     if (aborted_) return false;
+    if (entries_.empty() || entries_.back().capture != entry.capture) {
+      bytes_ += snapshotBytes(*entry.capture);
+      telemetry::Gauge& peak = CampaignMetrics::get().restartQueuePeakBytes;
+      if (static_cast<double>(bytes_) > peak.value()) {
+        peak.set(static_cast<double>(bytes_));
+      }
+    }
     entries_.push_back(std::move(entry));
     CampaignMetrics::get().sweepQueueDepth.set(static_cast<double>(entries_.size()));
     entryCv_.notify_one();
@@ -152,9 +173,18 @@ class RestartQueue {
     if (aborted_ || entries_.empty()) return std::nullopt;
     PendingRestart entry = std::move(entries_.front());
     entries_.pop_front();
+    if (entries_.empty() || entries_.front().capture != entry.capture) {
+      bytes_ -= snapshotBytes(*entry.capture);
+    }
     CampaignMetrics::get().sweepQueueDepth.set(static_cast<double>(entries_.size()));
     spaceCv_.notify_one();
     return entry;
+  }
+
+  /// Snapshot bytes queued right now.
+  [[nodiscard]] std::uint64_t bytes() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return bytes_;
   }
 
   void close() {
@@ -167,6 +197,7 @@ class RestartQueue {
     std::lock_guard<std::mutex> lock(mutex_);
     aborted_ = true;
     entries_.clear();
+    bytes_ = 0;
     CampaignMetrics::get().sweepQueueDepth.set(0.0);
     entryCv_.notify_all();
     spaceCv_.notify_all();
@@ -177,6 +208,7 @@ class RestartQueue {
   std::condition_variable entryCv_;
   std::condition_variable spaceCv_;
   std::deque<PendingRestart> entries_;
+  std::uint64_t bytes_ = 0;
   const std::size_t capacity_;
   bool closed_ = false;
   bool aborted_ = false;
@@ -390,22 +422,23 @@ void CampaignRunner::noteRun(const Runtime& rt) const {
   profile_.accumulate(rt);
 }
 
-void CampaignRunner::commitTrial(std::size_t trial,
-                                 const CrashTestRecord& record) const {
+void CampaignRunner::commitTrial(std::size_t trial, const CrashTestRecord& record,
+                                 int rejoinedAt) const {
   CampaignMetrics::get().trials.add();
   CampaignMetrics::get().responses[static_cast<int>(record.response)]->add();
   if (telemetry::tracing()) {
     // The per-trial outcome record: crash location + restart result. This is
     // the JSONL row an external analysis joins with the CSV on `trial`.
-    telemetry::TraceEvent("trial_end")
-        .field("trial", static_cast<std::uint64_t>(trial))
+    telemetry::TraceEvent event("trial_end");
+    event.field("trial", static_cast<std::uint64_t>(trial))
         .field("crash_access", record.crashAccessIndex)
         .field("region", record.region)
         .field("crash_iteration", record.crashIteration)
         .field("restart_iteration", record.restartIteration)
         .field("response", toString(record.response))
-        .field("extra_iterations", record.extraIterations)
-        .emit();
+        .field("extra_iterations", record.extraIterations);
+    if (rejoinedAt != 0) event.field("rejoined_at", rejoinedAt);
+    event.emit();
   }
 }
 
@@ -429,7 +462,8 @@ GoldenStats CampaignRunner::goldenRun(memsim::RegionMonitor* monitor) const {
   if (monitor != nullptr) rt.setMonitor(monitor);
   armProfile(rt);
   auto app = factory_();
-  const auto result = Driver::freshRun(*app, rt);
+  GoldenStats golden;
+  const auto result = Driver::freshRun(*app, rt, 0, &golden.trajectory);
   rt.setMonitor(nullptr);
   noteRun(rt);
   EC_CHECK_MSG(!result.interrupted, "golden run interrupted: " + result.interruptReason);
@@ -437,14 +471,13 @@ GoldenStats CampaignRunner::goldenRun(memsim::RegionMonitor* monitor) const {
                "golden run failed its own acceptance verification (" +
                    app->info().name + "): " + result.verification.detail);
 
-  GoldenStats golden;
   golden.windowAccesses = rt.windowAccesses();
   golden.finalIteration = result.finalIteration;
   golden.events = rt.events();
   golden.footprintBytes = rt.footprintBytes();
   golden.regionCount = rt.regionCount();
   golden.persistenceOps = rt.persistenceOps();
-  golden.verifyMetric = result.verification.metric;
+  golden.verification = result.verification;
   golden.objects = rt.objects();
   for (const auto& object : golden.objects) {
     if (object.candidate) golden.candidateBytes += object.bytes;
@@ -569,16 +602,16 @@ class InProcessExecutor final : public TrialExecutor {
     watchdog_.emplace(std::chrono::milliseconds(timeoutMs), slots);
   }
 
-  void trial(std::size_t t, std::uint64_t crashIndex, int slot, double budget,
-             CrashTestRecord& record) override {
+  int trial(std::size_t t, std::uint64_t crashIndex, int slot, double budget,
+            CrashTestRecord& record) override {
     const Deadline deadline(watchdog_, slot, budget);
-    runner_.runOneTest(golden_, crashIndex, t, deadline.cancel, record);
+    return runner_.runOneTest(golden_, crashIndex, t, deadline.cancel, record);
   }
 
-  void restart(std::size_t t, const SweepCapture& capture, int slot, double budget,
-               CrashTestRecord& record) override {
+  int restart(std::size_t t, const SweepCapture& capture, int slot, double budget,
+              CrashTestRecord& record) override {
     const Deadline deadline(watchdog_, slot, budget);
-    runner_.runRestart(golden_, capture, t, deadline.cancel, record);
+    return runner_.runRestart(golden_, capture, t, deadline.cancel, record);
   }
 
   bool sweep(const SweepPlan& plan, int slot, const OnCapture& onCapture) override {
@@ -902,6 +935,17 @@ CampaignResult CampaignRunner::run() const {
     return stopRequested() || budgetExceeded.load() || workersAbort.load();
   };
 
+  // The sweep's restart queue. Its depth is the pipeline's overlap window:
+  // deep enough that the sweep outruns the restart drain and the producer
+  // joins the pool for most of the campaign, while backpressure bounds live
+  // snapshot memory (~64 MB of candidate bytes) for large apps. Never below
+  // the double-buffer floor that keeps every worker fed. Declared before the
+  // status writer, whose sampler reads its bytes.
+  constexpr std::size_t kSnapshotBudgetBytes = std::size_t{64} << 20;
+  RestartQueue queue(std::max(static_cast<std::size_t>(std::max(2, 2 * threads)),
+                              kSnapshotBudgetBytes /
+                                  std::max<std::uint64_t>(1, result.golden.candidateBytes)));
+
   // Live status snapshots (docs/OBSERVABILITY.md): a background thread
   // samples the campaign's shared tallies on an interval and atomically
   // rewrites the snapshot file; run() writes one final done/interrupted
@@ -933,6 +977,7 @@ CampaignResult CampaignRunner::run() const {
           s.timeouts = timeoutCount.load();
           s.queueDepth = static_cast<std::uint64_t>(
               std::max(0.0, CampaignMetrics::get().sweepQueueDepth.value()));
+          s.queueBytes = queue.bytes();
           executor->fillStatus(s);
           s.elapsedS = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - campaignStart)
@@ -975,11 +1020,12 @@ CampaignResult CampaignRunner::run() const {
   const auto decideTrial = [&](std::size_t t, auto&& attempt) {
     const auto timedAttempt = [&](CrashTestRecord& record) {
       telemetry::ScopedTimer trialTimer(CampaignMetrics::get().trialUs);
-      attempt(record);
+      return attempt(record);
     };
+    int rejoinedAt = 0;
     if (!res.isolate) {
       CrashTestRecord record;
-      timedAttempt(record);
+      rejoinedAt = timedAttempt(record);
       records[t] = std::move(record);
     } else {
       const int maxAttempts = 1 + std::max(0, res.maxRetries);
@@ -991,7 +1037,7 @@ CampaignResult CampaignRunner::run() const {
         failure.attempts = att;
         CrashTestRecord record;
         try {
-          timedAttempt(record);
+          rejoinedAt = timedAttempt(record);
           completed = true;
           records[t] = std::move(record);
         } catch (const runtime::TrialCancelled&) {
@@ -1052,7 +1098,7 @@ CampaignResult CampaignRunner::run() const {
         return;
       }
     }
-    commitTrial(t, *records[t]);
+    commitTrial(t, *records[t], rejoinedAt);
     if (journal) journal->recordTrial(t, *records[t]);
     recordDecided(&*records[t]);
     const int completedNow = newlyCompleted.fetch_add(1) + 1;
@@ -1077,21 +1123,11 @@ CampaignResult CampaignRunner::run() const {
       // slots are being written by a restart worker, so reading them races.
       if (!owned(t) || claimed[t] != 0 || records[t] || failures[t]) continue;
       decideTrial(t, [&](CrashTestRecord& record) {
-        executor->trial(t, crashIndices[t], w, wholeTrialBudget(crashIndices[t]),
-                        record);
+        return executor->trial(t, crashIndices[t], w, wholeTrialBudget(crashIndices[t]),
+                               record);
       });
     }
   };
-
-  // Queue depth is the pipeline's overlap window: deep enough that the sweep
-  // outruns the restart drain and the producer joins the pool for most of
-  // the campaign, while backpressure bounds live snapshot memory (~64 MB of
-  // candidate bytes) for large apps. Never below the double-buffer floor
-  // that keeps every worker fed.
-  constexpr std::size_t kSnapshotBudgetBytes = std::size_t{64} << 20;
-  RestartQueue queue(std::max(static_cast<std::size_t>(std::max(2, 2 * threads)),
-                              kSnapshotBudgetBytes /
-                                  std::max<std::uint64_t>(1, result.golden.candidateBytes)));
 
   // Restart worker: drain the capture queue, then fall back to the per-trial
   // claim loop for anything the sweep missed. A stop request abandons the
@@ -1107,8 +1143,8 @@ CampaignResult CampaignRunner::run() const {
           return;
         }
         decideTrial(entry->trial, [&](CrashTestRecord& record) {
-          executor->restart(entry->trial, *entry->capture, w,
-                            restartBudget(*entry->capture), record);
+          return executor->restart(entry->trial, *entry->capture, w,
+                                   restartBudget(*entry->capture), record);
         });
       }
       queue.abort();
@@ -1288,9 +1324,9 @@ SweepCapture CampaignRunner::capturePostmortem(const Runtime& rt, const CrashEve
   return capture;
 }
 
-void CampaignRunner::runOneTest(const GoldenStats& golden, std::uint64_t crashIndex,
-                                std::size_t trial, const std::atomic<bool>* cancel,
-                                CrashTestRecord& record) const {
+int CampaignRunner::runOneTest(const GoldenStats& golden, std::uint64_t crashIndex,
+                               std::size_t trial, const std::atomic<bool>* cancel,
+                               CrashTestRecord& record) const {
   record = CrashTestRecord{};
   record.crashAccessIndex = crashIndex;
 
@@ -1321,7 +1357,7 @@ void CampaignRunner::runOneTest(const GoldenStats& golden, std::uint64_t crashIn
   }
   noteRun(rt);
 
-  runRestart(golden, capture, trial, cancel, record);
+  return runRestart(golden, capture, trial, cancel, record);
 }
 
 bool CampaignRunner::sweepRun(
@@ -1372,9 +1408,9 @@ bool CampaignRunner::sweepRun(
   return completed;
 }
 
-void CampaignRunner::runRestart(const GoldenStats& golden, const SweepCapture& capture,
-                                std::size_t trial, const std::atomic<bool>* cancel,
-                                CrashTestRecord& record) const {
+int CampaignRunner::runRestart(const GoldenStats& golden, const SweepCapture& capture,
+                               std::size_t trial, const std::atomic<bool>* cancel,
+                               CrashTestRecord& record) const {
   record = CrashTestRecord{};
   record.crashAccessIndex = capture.crashAccessIndex;
   record.region = capture.region;
@@ -1404,11 +1440,21 @@ void CampaignRunner::runRestart(const GoldenStats& golden, const SweepCapture& c
   }
 
   const int cap = golden.finalIteration * config_.maxIterationFactor;
-  const auto rerun =
-      Driver::run(*restartApp, restartRt, record.restartIteration, cap);
+  const auto rerun = Driver::run(*restartApp, restartRt, record.restartIteration,
+                                 cap, &golden.trajectory);
   noteRun(restartRt);
 
-  if (rerun.interrupted) {
+  if (rerun.rejoinedAt != 0) {
+    // The state equals the golden run's at this boundary, so the rest of the
+    // restart is the golden run's: it ends at the golden final iteration and
+    // verifies exactly as the golden run did.
+    CampaignMetrics::get().restartRejoins.add();
+    CampaignMetrics::get().restartIterationsSkipped.add(
+        static_cast<std::uint64_t>(golden.finalIteration - rerun.rejoinedAt));
+    record.response = Response::S1;
+    record.extraIterations = 0;
+    record.note = golden.verification.detail;
+  } else if (rerun.interrupted) {
     record.response = Response::S3;
     record.note = rerun.interruptReason;
   } else if (!rerun.verification.pass) {
@@ -1428,6 +1474,7 @@ void CampaignRunner::runRestart(const GoldenStats& golden, const SweepCapture& c
   // the parent (commitTrial) once the decision is final, so a forked
   // attempt's accounting lands campaign-side regardless of which process
   // simulated it.
+  return rerun.rejoinedAt;
 }
 
 }  // namespace easycrash::crash

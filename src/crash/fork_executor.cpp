@@ -48,7 +48,8 @@ namespace {
 //                               'A' / 'X' ack of one streamed sweep capture
 //                                   (continue / wind down)
 // Responses (worker -> parent): 'r' trial/restart result {accounting, status,
-//                                   record | reason + region path}
+//                                   record + rejoin iteration |
+//                                   reason + region path}
 //                               'c' one streamed sweep capture (await ack)
 //                               'e' sweep end {accounting, completed, error}
 // Integers are little-endian; snapshot payloads ride the slot's shared
@@ -199,11 +200,12 @@ CampaignProfile decodeProfile(WireReader& r) {
 /// Crash "black box": the first page-independent bytes of every slot's
 /// arena. A worker about to execute an injected fault records where it is
 /// dying (fault kind, access index, formatted region path) and publishes
-/// with a release-fenced magic write; after the death the parent reads it
-/// back so the TrialFailure names the real crash site — the same region-path
-/// feature in-process failures get from throwRegionPath().
+/// it with a release store of the magic; after the death the parent reads the
+/// magic with an acquire load and, when it matches, the fields behind it, so
+/// the TrialFailure names the real crash site — the same region-path feature
+/// in-process failures get from throwRegionPath().
 struct BlackBox {
-  std::uint64_t magic = 0;  ///< written last
+  std::uint64_t magic = 0;  ///< written last, only through magicRef()
   std::uint64_t accessIndex = 0;
   char kind[16] = {};
   char regionPath[224] = {};
@@ -211,6 +213,14 @@ struct BlackBox {
 constexpr std::uint64_t kBlackBoxMagic = 0x4e56435442420001ull;
 constexpr std::size_t kBlackBoxBytes = 256;
 static_assert(sizeof(BlackBox) <= kBlackBoxBytes, "black box must fit its slot");
+static_assert(alignof(BlackBox) >= std::atomic_ref<std::uint64_t>::required_alignment,
+              "the black box magic must be atomically accessible");
+
+/// The magic as an atomic object: the one word parent and child both access
+/// concurrently (the arena is shared memory).
+std::atomic_ref<std::uint64_t> magicRef(BlackBox& box) {
+  return std::atomic_ref<std::uint64_t>(box.magic);
+}
 
 void encodeCapture(WireWriter& w, const SweepCapture& c, std::uint8_t* arena,
                    std::size_t arenaBytes) {
@@ -423,7 +433,7 @@ void executeFault(FaultPlan::Kind kind, int responseFd) {
 /// Map one classified worker death onto the AttemptFailure the scheduler
 /// records, folding in the black box when the worker published one.
 AttemptFailure classifyDeath(const WorkerPool::Reply& reply,
-                           std::uint64_t timeoutMs, const std::uint8_t* arena) {
+                           std::uint64_t timeoutMs, std::uint8_t* arena) {
   AttemptFailure f;
   f.kind = toString(reply.death);
   f.timeout = reply.timedOut;
@@ -447,9 +457,8 @@ AttemptFailure classifyDeath(const WorkerPool::Reply& reply,
         break;
     }
   }
-  const auto* bb = reinterpret_cast<const BlackBox*>(arena);
-  if (bb != nullptr && bb->magic == kBlackBoxMagic) {
-    std::atomic_thread_fence(std::memory_order_acquire);
+  auto* bb = reinterpret_cast<BlackBox*>(arena);
+  if (bb != nullptr && magicRef(*bb).load(std::memory_order_acquire) == kBlackBoxMagic) {
     const std::string kind(bb->kind, strnlen(bb->kind, sizeof bb->kind));
     f.regionPath.assign(bb->regionPath,
                         strnlen(bb->regionPath, sizeof bb->regionPath));
@@ -472,8 +481,7 @@ void armWorkerFault(runtime::Runtime& rt) {
       std::snprintf(bb->kind, sizeof bb->kind, "%s", toString(ctx->plan.kind));
       const std::string path = formatRegionPath(rtp->regionPath());
       std::snprintf(bb->regionPath, sizeof bb->regionPath, "%s", path.c_str());
-      std::atomic_thread_fence(std::memory_order_release);
-      bb->magic = kBlackBoxMagic;
+      magicRef(*bb).store(kBlackBoxMagic, std::memory_order_release);
     }
     executeFault(ctx->plan.kind, ctx->responseFd);
   });
@@ -516,22 +524,22 @@ class ForkExecutor final : public TrialExecutor {
     CampaignMetrics::get().workerSpawns.add(pool_->spawnCount());
   }
 
-  void trial(std::size_t t, std::uint64_t crashIndex, int slot, double budget,
-             CrashTestRecord& record) override {
+  int trial(std::size_t t, std::uint64_t crashIndex, int slot, double budget,
+            CrashTestRecord& record) override {
     WireWriter req;
     req.u8('T');
     req.u64(t);
     req.u64(crashIndex);
-    decideReply(slot, roundTrip(slot, req.take(), budget), t, record);
+    return decideReply(slot, roundTrip(slot, req.take(), budget), t, record);
   }
 
-  void restart(std::size_t t, const SweepCapture& capture, int slot, double budget,
-               CrashTestRecord& record) override {
+  int restart(std::size_t t, const SweepCapture& capture, int slot, double budget,
+              CrashTestRecord& record) override {
     WireWriter req;
     req.u8('R');
     req.u64(t);
     encodeCapture(req, capture, pool_->arena(slot), pool_->arenaBytes());
-    decideReply(slot, roundTrip(slot, req.take(), budget), t, record);
+    return decideReply(slot, roundTrip(slot, req.take(), budget), t, record);
   }
 
   /// The sweep runs in the slot's worker, which streams each capture back as
@@ -591,7 +599,8 @@ class ForkExecutor final : public TrialExecutor {
             .emit();
       }
     }
-    reinterpret_cast<BlackBox*>(pool_->arena(slot))->magic = 0;
+    magicRef(*reinterpret_cast<BlackBox*>(pool_->arena(slot)))
+        .store(0, std::memory_order_relaxed);
   }
 
   /// One request on a live worker, and its first reply frame.
@@ -635,11 +644,12 @@ class ForkExecutor final : public TrialExecutor {
     }
   }
 
-  /// An 'r' reply: account the child's runs, then yield the record or
-  /// rethrow the child's exception as an attempt failure.
-  void decideReply(int slot, const std::string& frame, std::size_t t,
-                   CrashTestRecord& record) {
-    decode(slot, frame, [&](WireReader& r) {
+  /// An 'r' reply: account the child's runs, then yield the record (and
+  /// the restart's rejoin iteration) or rethrow the child's exception as an
+  /// attempt failure.
+  int decideReply(int slot, const std::string& frame, std::size_t t,
+                  CrashTestRecord& record) {
+    return decode(slot, frame, [&](WireReader& r) {
       if (r.u8() != 'r') throw std::runtime_error("unexpected reply tag");
       applyAccounting(r, runner_.profile_, runner_.profileMutex_);
       if (r.u8() == 0) {
@@ -648,7 +658,7 @@ class ForkExecutor final : public TrialExecutor {
         std::size_t trialFromWire = 0;
         record = parseTrialRecord(line, &trialFromWire);
         EC_CHECK_MSG(trialFromWire == t, "fork: reply names the wrong trial");
-        return;
+        return static_cast<int>(r.i64());
       }
       std::string reason = r.str();
       std::string regionPath = r.str();
@@ -712,7 +722,7 @@ class ForkExecutor final : public TrialExecutor {
         const auto t = static_cast<std::size_t>(req.u64());
         const std::uint64_t crashIndex = req.u64();
         replyDecided(resp, t, [&](CrashTestRecord& record) {
-          runner_.runOneTest(golden_, crashIndex, t, nullptr, record);
+          return runner_.runOneTest(golden_, crashIndex, t, nullptr, record);
         });
         break;
       }
@@ -720,7 +730,7 @@ class ForkExecutor final : public TrialExecutor {
         const auto t = static_cast<std::size_t>(req.u64());
         const SweepCapture capture = decodeCapture(req, ch.arena(), ch.arenaBytes());
         replyDecided(resp, t, [&](CrashTestRecord& record) {
-          runner_.runRestart(golden_, capture, t, nullptr, record);
+          return runner_.runRestart(golden_, capture, t, nullptr, record);
         });
         break;
       }
@@ -734,16 +744,17 @@ class ForkExecutor final : public TrialExecutor {
   }
 
   /// Run one attempt into an 'r' reply: status 0 carries the serialized
-  /// record, status 1 the exception text and formatted crash-site path. Both
-  /// carry the accounting — a failed attempt still simulated runs the parent
-  /// must account, exactly as in-process runs are accounted before their
-  /// exception propagates.
+  /// record and the rejoin iteration, status 1 the exception text and
+  /// formatted crash-site path. Both carry the accounting — a failed attempt
+  /// still simulated runs the parent must account, exactly as in-process
+  /// runs are accounted before their exception propagates.
   template <typename Attempt>
   void replyDecided(WireWriter& resp, std::size_t t, Attempt&& attempt) {
     CrashTestRecord record;
+    int rejoinedAt = 0;
     std::optional<std::string> error;
     try {
-      attempt(record);
+      rejoinedAt = attempt(record);
     } catch (const std::bad_alloc&) {
       throw;
     } catch (const std::exception& e) {
@@ -754,6 +765,7 @@ class ForkExecutor final : public TrialExecutor {
     resp.u8(error ? 1 : 0);
     if (!error) {
       resp.str(serializeTrialRecord(t, record));
+      resp.i64(rejoinedAt);
     } else {
       resp.str(*error);
       resp.str(formatRegionPath(record.regionPath));

@@ -294,7 +294,11 @@ struct GoldenStats {
   std::uint64_t candidateBytes = 0;
   std::uint32_t regionCount = 0;
   std::uint64_t persistenceOps = 0;
-  double verifyMetric = 0.0;
+  /// The golden run's acceptance verification. A restart that rejoins the
+  /// golden trajectory takes its outcome (S1, this detail as the note).
+  runtime::VerifyOutcome verification;
+  /// State digest after each golden iteration (Driver::run follows it).
+  runtime::GoldenTrajectory trajectory;
   std::vector<runtime::DataObjectInfo> objects;
   /// a_k: share of window accesses spent in each region (paper Table 2).
   std::map<runtime::PointId, double> regionTimeShare;
@@ -408,17 +412,22 @@ class CampaignRunner {
   /// Per-trial path: one crashing run to `crashIndex`, then runRestart.
   /// Fills `record` in place so that a mid-trial exception leaves the
   /// partial progress (crash site, region path) readable for the failure
-  /// report.
-  void runOneTest(const GoldenStats& golden, std::uint64_t crashIndex,
-                  std::size_t trial, const std::atomic<bool>* cancel,
-                  CrashTestRecord& record) const;
+  /// report. Returns what runRestart returns.
+  int runOneTest(const GoldenStats& golden, std::uint64_t crashIndex,
+                 std::size_t trial, const std::atomic<bool>* cancel,
+                 CrashTestRecord& record) const;
 
   /// Restart + S1–S4 classification from a capture. Shared verbatim by the
   /// per-trial path and the sweep — this is what makes sweep and per-trial
-  /// campaigns byte-identical.
-  void runRestart(const GoldenStats& golden, const SweepCapture& capture,
-                  std::size_t trial, const std::atomic<bool>* cancel,
-                  CrashTestRecord& record) const;
+  /// campaigns byte-identical. The restart follows the golden trajectory:
+  /// once its state equals the golden run's at an iteration boundary it
+  /// stops and takes the golden outcome (S1, no extra iterations, the golden
+  /// verification detail), the record a full restart would produce. Returns
+  /// that boundary (0 when the restart ran to the end); it feeds telemetry
+  /// only, never the record.
+  int runRestart(const GoldenStats& golden, const SweepCapture& capture,
+                 std::size_t trial, const std::atomic<bool>* cancel,
+                 CrashTestRecord& record) const;
 
   /// The single sweep crashing run: captures every index of `plan` in
   /// ascending order and hands each capture to `onCapture` (false ends the
@@ -455,10 +464,13 @@ class CampaignRunner {
   void noteRun(const runtime::Runtime& rt) const;
 
   /// Parent-side completion bookkeeping of one decided trial: campaign
-  /// counters (trials, S1-S4 responses) and the trial_end trace event. Only
-  /// the scheduler runs this — fork workers never do, so the parent's
-  /// registry stays the single source of truth.
-  void commitTrial(std::size_t trial, const CrashTestRecord& record) const;
+  /// counters (trials, S1-S4 responses) and the trial_end trace event, which
+  /// names the iteration the restart rejoined the golden trajectory at
+  /// (`rejoinedAt`, 0 = it ran to the end). Only the scheduler runs this —
+  /// fork workers never do, so the parent's registry stays the single source
+  /// of truth.
+  void commitTrial(std::size_t trial, const CrashTestRecord& record,
+                   int rejoinedAt) const;
 
   /// Golden run with an optional adaptive region monitor riding the access
   /// stream. With a monitor installed and monitor.trackedGolden unset, the

@@ -37,6 +37,7 @@ struct CampaignStatus {
   std::uint64_t retries = 0;            ///< retry attempts spent so far
   std::uint64_t timeouts = 0;           ///< watchdog cancellations so far
   std::uint64_t queueDepth = 0;         ///< sweep restart queue depth
+  std::uint64_t queueBytes = 0;         ///< snapshot bytes in that queue
   std::uint64_t workers = 0;            ///< live fork-evaluator workers
   std::uint64_t workerDeaths = 0;       ///< worker children lost so far
   double elapsedS = 0.0;

@@ -46,6 +46,8 @@ std::string serializeStatus(const CampaignStatus& status) {
   line += std::to_string(status.timeouts);
   line += ",\"queue_depth\":";
   line += std::to_string(status.queueDepth);
+  line += ",\"queue_bytes\":";
+  line += std::to_string(status.queueBytes);
   line += ",\"workers\":";
   line += std::to_string(status.workers);
   line += ",\"worker_deaths\":";

@@ -86,8 +86,16 @@ struct CampaignMetrics {
   telemetry::Histogram& crashRunUs;
   telemetry::Histogram& postmortemUs;
   telemetry::Histogram& restartUs;
-  /// Live depth of the sweep's restart hand-off queue.
+  /// Restarts that rejoined the golden trajectory and stopped early, and the
+  /// iterations a full restart would have run after the rejoin (the golden
+  /// run's final iteration minus the rejoin boundary, per rejoin).
+  telemetry::Counter& restartRejoins;
+  telemetry::Counter& restartIterationsSkipped;
+  /// Live depth of the sweep's restart hand-off queue, and the most snapshot
+  /// bytes it has held at once (a shared capture counts once). Gauges, not
+  /// counters: both depend on how the producer and the workers interleave.
   telemetry::Gauge& sweepQueueDepth;
+  telemetry::Gauge& restartQueuePeakBytes;
 
   static CampaignMetrics& get();
   void recordRun(const memsim::MemEvents& ev);
@@ -115,11 +123,13 @@ class TrialExecutor {
   /// Whole trial t on `slot`: crashing run to `crashIndex`, post-mortem,
   /// restart. Fills `record` in place, so the crash site stays readable
   /// after a throw. `budget` scales the deadline in golden-run units.
-  virtual void trial(std::size_t t, std::uint64_t crashIndex, int slot,
-                     double budget, CrashTestRecord& record) = 0;
-  /// Restart only, from a sweep capture.
-  virtual void restart(std::size_t t, const SweepCapture& capture, int slot,
-                       double budget, CrashTestRecord& record) = 0;
+  /// Returns the iteration the restart rejoined the golden trajectory at
+  /// (0 = it ran to the end; CampaignRunner::runRestart).
+  virtual int trial(std::size_t t, std::uint64_t crashIndex, int slot,
+                    double budget, CrashTestRecord& record) = 0;
+  /// Restart only, from a sweep capture. Returns as trial() does.
+  virtual int restart(std::size_t t, const SweepCapture& capture, int slot,
+                      double budget, CrashTestRecord& record) = 0;
   /// The single sweep crashing run over `plan`. True iff every point was
   /// captured; throws when the run died, and the scheduler then falls back
   /// to per-trial runs for the uncaptured tail.

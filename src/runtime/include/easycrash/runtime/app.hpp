@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "easycrash/runtime/runtime.hpp"
 
@@ -28,6 +29,20 @@ struct VerifyOutcome {
   std::string detail;
 };
 
+/// The state contract every app keeps, on which restarts that rejoin the
+/// golden trajectory rely (Driver::run, docs/INTERNALS.md "Restarts rejoin
+/// the golden trajectory"): what iterate(), converged() and verify() compute
+/// depends on nothing but
+///   - the tracked objects' bytes (Runtime::stateDigest covers every object
+///     not declared read-only, so a read-only object must really stay as
+///     initialize() left it),
+///   - the iteration number, and
+///   - host members that setup()/initialize() fix and nothing changes later.
+/// Host scratch that iterate() fully rewrites before reading it is allowed,
+/// and so is a host value iterate() derives from tracked state and only
+/// verify() reads (the last iteration rewrites it before verify() runs).
+/// Nothing may carry over from one iterate() call to the next outside
+/// tracked memory: no accumulating host counter, no host RNG state.
 class IApp {
  public:
   virtual ~IApp() = default;
@@ -62,7 +77,20 @@ struct RunResult {
   bool reachedCap = false;     ///< hit maxIterations without converging
   bool interrupted = false;    ///< AppInterrupt (paper S3)
   std::string interruptReason;
+  /// Iteration boundary at which a run following a golden trajectory found
+  /// its state equal to the golden run's and stopped; 0 when it ran to the
+  /// end. A rejoined run executes neither its remaining iterations nor
+  /// verify(): its outcome is the golden run's (`verification` stays empty).
+  int rejoinedAt = 0;
   VerifyOutcome verification;
+};
+
+/// The golden run's state digest after each of its main-loop iterations:
+/// digests[i - 1] is the state after iteration i. Empty when the golden run
+/// is no trajectory to rejoin (it stopped at its iteration cap instead of
+/// converging, so a restart on the same states would run on past that cap).
+struct GoldenTrajectory {
+  std::vector<StateDigest> digests;
 };
 
 /// Drives the shared main-loop protocol. CrashEvent propagates to the caller
@@ -71,11 +99,28 @@ class Driver {
  public:
   /// Run iterations [fromIteration .. converged], capped at maxIterations.
   /// Set maxIterations <= 0 to cap at nominalIterations().
+  ///
+  /// With `golden`, the run follows that trajectory: after 1, 2, 4, 8, ...
+  /// executed iterations it compares the state digest at iteration boundary
+  /// `it` with the golden run's, and on a match returns with rejoinedAt =
+  /// it. Under the app state contract (IApp) the rest of the run is then the
+  /// golden run's, so its outcome is the golden outcome. Only boundaries
+  /// before the golden run's final iteration are compared (the last
+  /// iteration must still run to rewrite what verify() reads), and only when
+  /// maxIterations lets the run reach that final iteration.
   static RunResult run(IApp& app, Runtime& rt, int fromIteration = 1,
-                       int maxIterations = 0);
+                       int maxIterations = 0,
+                       const GoldenTrajectory* golden = nullptr);
 
-  /// Full fresh execution: setup + initialize + run + verify.
-  static RunResult freshRun(IApp& app, Runtime& rt, int maxIterations = 0);
+  /// Full fresh execution: setup + initialize + run + verify. With `record`,
+  /// stores the state digest after every iteration (the golden trajectory).
+  static RunResult freshRun(IApp& app, Runtime& rt, int maxIterations = 0,
+                            GoldenTrajectory* record = nullptr);
+
+ private:
+  static RunResult drive(IApp& app, Runtime& rt, int fromIteration,
+                         int maxIterations, GoldenTrajectory* record,
+                         const GoldenTrajectory* golden);
 };
 
 }  // namespace easycrash::runtime

@@ -53,6 +53,16 @@ inline constexpr bool kWatchdogCompiledIn = false;
 inline constexpr bool kWatchdogCompiledIn = true;
 #endif
 
+/// 128-bit digest of a runtime's mutable architectural state
+/// (Runtime::stateDigest). Equal digests at the same main-loop iteration
+/// boundary are what lets a restart stop on the golden trajectory.
+struct StateDigest {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+
+  friend bool operator==(const StateDigest&, const StateDigest&) = default;
+};
+
 /// Thrown from a tracked access when the installed cancellation flag is set
 /// (the campaign watchdog flagging a runaway trial). Distinct from both
 /// CrashEvent (simulated power loss) and AppInterrupt (simulated segfault):
@@ -187,6 +197,15 @@ class Runtime {
 
   /// Inconsistency rate of an object: differing-dirty bytes / object size.
   [[nodiscard]] double inconsistentRate(ObjectId id) const;
+
+  /// Digest of the architectural bytes of every object not declared
+  /// read-only, in object order (read-only objects are fixed by the app's
+  /// setup/initialize, so they cannot tell two runs of one app apart). In the
+  /// native state it hashes the pinned image in place; otherwise it reads
+  /// through the hierarchy (peek) in bounded chunks. Either way it moves no
+  /// MemEvents counter, no cache state and no crash clock, and the same bytes
+  /// give the same digest whichever way they were read.
+  [[nodiscard]] StateDigest stateDigest() const;
 
   // ---- Region & main-loop structure -----------------------------------------
 

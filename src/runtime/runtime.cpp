@@ -1,6 +1,8 @@
 #include "easycrash/runtime/runtime.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <exception>
 
 #include "easycrash/common/check.hpp"
@@ -31,6 +33,78 @@ struct RuntimeMetrics {
         telemetry::MetricsRegistry::instance().counter("runtime.crash_injections")};
     return m;
   }
+};
+
+/// Streaming 128-bit hash behind Runtime::stateDigest. Four 64-bit lanes take
+/// the 8-byte words of each 32-byte stripe with the xxHash64 round (multiply,
+/// rotate, multiply), and two different avalanches fold the lanes and the
+/// total length into the digest's halves. The result depends only on the
+/// byte sequence, never on how it was split into update() calls, so the
+/// in-place native read and the chunked hierarchy read agree.
+class StateHasher {
+ public:
+  void update(const std::uint8_t* data, std::size_t size) {
+    if (size == 0) return;
+    total_ += size;
+    if (fill_ != 0) {
+      const std::size_t take = std::min(size, kStripe - fill_);
+      std::memcpy(buffer_ + fill_, data, take);
+      fill_ += take;
+      data += take;
+      size -= take;
+      if (fill_ < kStripe) return;
+      stripe(lanes_, buffer_);
+      fill_ = 0;
+    }
+    for (; size >= kStripe; data += kStripe, size -= kStripe) stripe(lanes_, data);
+    std::memcpy(buffer_, data, size);
+    fill_ = size;
+  }
+
+  [[nodiscard]] StateDigest finish() const {
+    std::uint64_t v[4] = {lanes_[0], lanes_[1], lanes_[2], lanes_[3]};
+    if (fill_ != 0) {
+      // Zero-padded tail; the total length below keeps it unambiguous.
+      std::uint8_t tail[kStripe] = {};
+      std::memcpy(tail, buffer_, fill_);
+      stripe(v, tail);
+    }
+    StateDigest digest;
+    digest.lo = avalanche(std::rotl(v[0], 1) + std::rotl(v[1], 7) +
+                          std::rotl(v[2], 12) + std::rotl(v[3], 18) + total_ * kP5);
+    digest.hi = avalanche((v[0] * kP3) ^ std::rotl(v[1], 29) ^ (v[2] * kP4) ^
+                          std::rotl(v[3], 43) ^ (total_ + kP1));
+    return digest;
+  }
+
+ private:
+  static constexpr std::size_t kStripe = 32;
+  static constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ull;
+  static constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4Full;
+  static constexpr std::uint64_t kP3 = 0x165667B19E3779F9ull;
+  static constexpr std::uint64_t kP4 = 0x85EBCA77C2B2AE63ull;
+  static constexpr std::uint64_t kP5 = 0x27D4EB2F165667C5ull;
+
+  static void stripe(std::uint64_t* v, const std::uint8_t* data) {
+    for (int lane = 0; lane < 4; ++lane) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, data + 8 * lane, sizeof word);
+      v[lane] = std::rotl(v[lane] + word * kP2, 31) * kP1;
+    }
+  }
+  static std::uint64_t avalanche(std::uint64_t h) {
+    h ^= h >> 33;
+    h *= kP2;
+    h ^= h >> 29;
+    h *= kP3;
+    h ^= h >> 32;
+    return h;
+  }
+
+  std::uint64_t lanes_[4] = {kP1 + kP2, kP2, 0, 0 - kP1};
+  std::uint8_t buffer_[kStripe] = {};
+  std::size_t fill_ = 0;
+  std::uint64_t total_ = 0;
 };
 
 }  // namespace
@@ -318,6 +392,25 @@ std::vector<std::uint8_t> Runtime::dumpObjectCurrent(ObjectId id) const {
   std::vector<std::uint8_t> out(info.bytes);
   hierarchy_.peek(info.addr, out);
   return out;
+}
+
+StateDigest Runtime::stateDigest() const {
+  StateHasher hasher;
+  std::uint8_t chunk[16384];
+  for (const DataObjectInfo& object : objects_) {
+    if (object.readOnly) continue;
+    if (nativeCovers(object.addr, object.bytes)) {
+      hasher.update(native_ + object.addr, object.bytes);
+      continue;
+    }
+    for (std::uint64_t off = 0; off < object.bytes; off += sizeof chunk) {
+      const auto n = static_cast<std::size_t>(
+          std::min<std::uint64_t>(sizeof chunk, object.bytes - off));
+      hierarchy_.peek(object.addr + off, {chunk, n});
+      hasher.update(chunk, n);
+    }
+  }
+  return hasher.finish();
 }
 
 double Runtime::inconsistentRate(ObjectId id) const {

@@ -200,6 +200,7 @@ TEST(Status, SerializeStatusRoundTrips) {
   status.retries = 4;
   status.timeouts = 1;
   status.queueDepth = 3;
+  status.queueBytes = 98304;
   status.elapsedS = 12.5;
   status.trialsPerS = 2.56;
   status.etaS = 22.656;
@@ -218,6 +219,7 @@ TEST(Status, SerializeStatusRoundTrips) {
   EXPECT_DOUBLE_EQ(doc->find("s4")->number, 12.0);
   EXPECT_DOUBLE_EQ(doc->find("failures")->number, 2.0);
   EXPECT_DOUBLE_EQ(doc->find("queue_depth")->number, 3.0);
+  EXPECT_DOUBLE_EQ(doc->find("queue_bytes")->number, 98304.0);
   EXPECT_DOUBLE_EQ(doc->find("eta_s")->number, 22.656);
   EXPECT_TRUE(doc->find("interrupted")->boolean);
   EXPECT_FALSE(doc->find("done")->boolean);

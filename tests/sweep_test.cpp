@@ -4,6 +4,7 @@
 // results across thread counts, duplicate crash indices, and the fallback
 // path taken when the sweep run itself dies.
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -375,4 +376,28 @@ TEST(SweepTest, ThrowBeforeArmedCrashStillNamesTheCrashSite) {
     // The induced throw happens inside region 0 ("R1").
     EXPECT_EQ(failure.regionPath, "R1") << "trial " << failure.trial;
   }
+}
+
+TEST(SweepTest, RestartQueuePeakBytesStaysWithinTheSnapshotBudget) {
+  // Few distinct crash indices shared by many trials: the queue holds each
+  // shared capture once, so its byte peak is bounded by the distinct
+  // captures as well as by the 64 MiB snapshot budget.
+  SweepApp::Knobs knobs;
+  knobs.cells = 4;
+  knobs.iterations = 3;
+  auto config = tinyConfig(200);
+  config.resilience.isolate = true;
+  tl::Gauge& peak =
+      tl::MetricsRegistry::instance().gauge("campaign.restart_queue_peak_bytes");
+  peak.reset();
+  const auto result = cr::CampaignRunner(sweepFactory(knobs), config).run();
+  ASSERT_EQ(result.tests.size(), 200u);
+
+  std::set<std::uint64_t> distinct;
+  for (const auto& record : result.tests) distinct.insert(record.crashAccessIndex);
+  const auto captureBytes = static_cast<double>(result.golden.candidateBytes);
+  EXPECT_GT(peak.value(), 0.0);
+  EXPECT_LE(peak.value(), static_cast<double>(std::uint64_t{64} << 20));
+  EXPECT_LE(peak.value(), captureBytes * static_cast<double>(distinct.size()));
+  EXPECT_EQ(std::fmod(peak.value(), captureBytes), 0.0);
 }

@@ -20,10 +20,16 @@
 // event-type frequency table, a quick census of what a trace actually
 // contains.
 //
+// A trial_end that carries "rejoined_at" (its restart stopped on the golden
+// trajectory) must be an S1 with zero extra iterations, rejoined at or after
+// its restart iteration.
+//
 // Given both a trace and a metrics snapshot, the two must agree on the
 // campaign's phases: for P in crash_run, postmortem and restart, the number
 // of phase_end events with phase=P must equal the observation count of the
-// campaign.P_us histogram, whichever executor ran the trials.
+// campaign.P_us histogram, whichever executor ran the trials; and
+// campaign.restart_rejoins cannot exceed the restart phase_end count (every
+// rejoin is one restart that stopped early).
 //
 // Status mode validates one live snapshot written by nvct --status-out: a
 // single campaign_status object whose tallies are self-consistent
@@ -85,6 +91,29 @@ std::string lintPhaseEvent(const json::Value& value, const std::string& type) {
     if (!numberField(value, "duration_ns", &durationNs) || durationNs < 0) {
       return "phase_end missing non-negative \"duration_ns\"";
     }
+  }
+  return {};
+}
+
+/// A trial_end whose restart rejoined the golden trajectory took the golden
+/// outcome: S1, no extra iterations, at or after its restart iteration.
+/// Returns an empty string when the event is well-formed (or not one).
+std::string lintTrialEndEvent(const json::Value& value, const std::string& type) {
+  if (type != "trial_end" || value.find("rejoined_at") == nullptr) return {};
+  double rejoinedAt = 0;
+  double restartIteration = 0;
+  double extra = 0;
+  if (!numberField(value, "rejoined_at", &rejoinedAt) || rejoinedAt < 1) {
+    return "trial_end \"rejoined_at\" must be a positive iteration";
+  }
+  if (!numberField(value, "restart_iteration", &restartIteration) ||
+      rejoinedAt < restartIteration) {
+    return "trial_end rejoined before its \"restart_iteration\"";
+  }
+  const json::Value* response = value.find("response");
+  if (response == nullptr || !response->isString() || response->string != "S1" ||
+      !numberField(value, "extra_iterations", &extra) || extra != 0) {
+    return "a rejoined trial_end must be S1 with 0 extra iterations";
   }
   return {};
 }
@@ -251,6 +280,7 @@ int lintTrace(const std::string& path, const std::vector<std::string>& requiredF
     for (const std::string& error2 : {lintSweepEvent(*value, type->string),
                                       lintPhaseEvent(*value, type->string),
                                       lintWorkerEvent(*value, type->string),
+                                      lintTrialEndEvent(*value, type->string),
                                       lintPostmortemEvent(*value, type->string),
                                       lintRegionSnapshotEvent(*value, type->string)}) {
       if (!error2.empty()) {
@@ -325,7 +355,7 @@ int lintStatus(const std::string& path) {
   std::map<std::string, double> fields;
   for (const char* name : {"tests", "decided", "resumed", "s1", "s2", "s3", "s4",
                            "failures", "retries", "timeouts", "queue_depth",
-                           "workers", "worker_deaths", "elapsed_s",
+                           "queue_bytes", "workers", "worker_deaths", "elapsed_s",
                            "trials_per_s", "eta_s", "seq"}) {
     if (!numberField(*value, name, &fields[name])) {
       return fail(std::string("missing numeric \"") + name + '"');
@@ -357,8 +387,10 @@ int lintStatus(const std::string& path) {
   return 0;
 }
 
-/// `histogramCounts` receives every histogram's observation count.
+/// `counterValues` receives every counter, `histogramCounts` every
+/// histogram's observation count.
 int lintMetrics(const std::string& path, const std::vector<std::string>& requiredCounters,
+                std::map<std::string, std::uint64_t>& counterValues,
                 std::map<std::string, std::uint64_t>& histogramCounts) {
   std::ifstream is(path);
   if (!is) {
@@ -377,6 +409,11 @@ int lintMetrics(const std::string& path, const std::vector<std::string>& require
   if (counters == nullptr || !counters->isObject()) {
     std::cerr << "trace_lint: " << path << ": missing \"counters\" object\n";
     return 1;
+  }
+  for (const auto& [name, counter] : counters->object) {
+    if (counter.isNumber() && counter.number >= 0) {
+      counterValues[name] = static_cast<std::uint64_t>(counter.number);
+    }
   }
   for (const auto& name : requiredCounters) {
     const json::Value* counter = counters->find(name);
@@ -411,8 +448,18 @@ int lintMetrics(const std::string& path, const std::vector<std::string>& require
 /// execution mode lost (or double-counted) one side — e.g. fork workers
 /// whose spans reached the trace while their histograms stayed behind.
 int lintPhaseHistograms(const std::map<std::string, std::uint64_t>& phaseEnds,
+                        const std::map<std::string, std::uint64_t>& counterValues,
                         const std::map<std::string, std::uint64_t>& histogramCounts) {
   int status = 0;
+  const auto rejoins = counterValues.find("campaign.restart_rejoins");
+  const auto restarts = phaseEnds.find("restart");
+  const std::uint64_t rejoinCount = rejoins == counterValues.end() ? 0 : rejoins->second;
+  const std::uint64_t restartCount = restarts == phaseEnds.end() ? 0 : restarts->second;
+  if (rejoinCount > restartCount) {
+    std::cerr << "trace_lint: campaign.restart_rejoins counts " << rejoinCount
+              << " but only " << restartCount << " restart phase_end event(s)\n";
+    status = 1;
+  }
   for (const std::string phase : {"crash_run", "postmortem", "restart"}) {
     const auto spans = phaseEnds.find(phase);
     const auto observed = histogramCounts.find("campaign." + phase + "_us");
@@ -653,6 +700,7 @@ int main(int argc, char** argv) {
     }
     int status = 0;
     std::map<std::string, std::uint64_t> phaseEnds;
+    std::map<std::string, std::uint64_t> counterValues;
     std::map<std::string, std::uint64_t> histogramCounts;
     if (!tracePath.empty()) {
       status |= lintTrace(tracePath, splitCsv(cli.getString("require-field")),
@@ -660,10 +708,10 @@ int main(int argc, char** argv) {
     }
     if (!metricsPath.empty()) {
       status |= lintMetrics(metricsPath, splitCsv(cli.getString("require-counter")),
-                            histogramCounts);
+                            counterValues, histogramCounts);
     }
     if (status == 0 && !tracePath.empty() && !metricsPath.empty()) {
-      status |= lintPhaseHistograms(phaseEnds, histogramCounts);
+      status |= lintPhaseHistograms(phaseEnds, counterValues, histogramCounts);
     }
     if (!journalPath.empty()) {
       status |= lintJournal(journalPath,
