@@ -229,27 +229,30 @@ void BM_CampaignTrialThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_CampaignTrialThroughput)->Unit(benchmark::kMillisecond);
 
-// Trial-count scaling of the two campaign evaluators. The per-trial path
-// replays the crashing run once per test, so its crashing phase costs
-// O(N·W/2) tracked accesses; the sweep captures every pending crash point
-// in ONE crashing run (O(W)) and pipelines the restarts behind it. Run at
-// N=25 and N=100 for both modes: the off/on ratio at fixed N is the sweep
-// speedup, and the on-mode growth from 25 to 100 shows the crashing phase
-// no longer dominating. Arg0 = trial count, Arg1 = sweep on/off.
+// Trial-count scaling of the sweep under both trial executors. The sweep
+// captures every pending crash point in ONE crashing run (O(W) tracked
+// accesses, against the O(N·W/2) of one crashing run per trial) and
+// pipelines the restarts behind it. Run at N=25 and N=100 under each
+// executor: the growth from 25 to 100 shows the crashing phase no longer
+// dominating, and the fork/in-process ratio at fixed N is the isolation
+// cost. Arg0 = trial count, Arg1 = 1 for fork workers, 0 for in-process.
 void BM_CampaignNScaling(benchmark::State& state) {
   const auto& entry = easycrash::apps::findBenchmark("sp");
   easycrash::crash::CampaignConfig config;
   config.seed = 7;
   config.numTests = static_cast<int>(state.range(0));
   config.threads = 1;
-  config.sweep = state.range(1) != 0;
+  if (state.range(1) != 0) {
+    config.resilience.isolate = true;
+    config.resilience.isolation = easycrash::crash::IsolationMode::Fork;
+  }
   config.appLabel = entry.name;
   easycrash::crash::CampaignResult last;
   for (auto _ : state) {
     last = easycrash::crash::CampaignRunner(entry.factory, config).run();
     benchmark::DoNotOptimize(last.tests.size());
   }
-  state.SetLabel(config.sweep ? "sweep" : "per-trial");
+  state.SetLabel(state.range(1) != 0 ? "fork" : "in-process");
   state.SetItemsProcessed(state.iterations() * config.numTests);
   setCampaignCounters(state, last);
 }

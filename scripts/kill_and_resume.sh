@@ -24,7 +24,10 @@ WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
 APP=sp
-TESTS=120
+# Large enough that the campaign (about half a second on a 4-CPU host) is
+# still running, with restarts queued behind the sweep, when the kill lands;
+# the journal is polled every 20 ms for the same reason.
+TESTS=480
 JOURNAL="$WORK/journal.jsonl"
 
 # The campaign (and its pre-forked workers) all carry the unique journal
@@ -48,7 +51,7 @@ if [[ "$SIGNAL" == WORKER ]]; then
   PID=$!
 
   # Wait until trials are flowing so the kill lands on a busy worker pool.
-  for _ in $(seq 1 300); do
+  for _ in $(seq 1 3000); do
     if [[ -f "$JOURNAL" ]] && (( $(wc -l < "$JOURNAL") >= 3 )); then
       break
     fi
@@ -57,7 +60,7 @@ if [[ "$SIGNAL" == WORKER ]]; then
       wait "$PID" || true
       exit 1
     fi
-    sleep 0.2
+    sleep 0.02
   done
 
   # The pool forks its slots in order, and pgrep lists pids ascending, so
@@ -109,7 +112,7 @@ PID=$!
 
 # Wait until the journal holds at least a header plus 8 decided trials, so
 # the kill lands mid-campaign rather than before or after it.
-for _ in $(seq 1 300); do
+for _ in $(seq 1 3000); do
   if [[ -f "$JOURNAL" ]] && (( $(wc -l < "$JOURNAL") >= 9 )); then
     break
   fi
@@ -118,7 +121,7 @@ for _ in $(seq 1 300); do
     wait "$PID" || true
     exit 1
   fi
-  sleep 0.2
+  sleep 0.02
 done
 
 kill "-$SIGNAL" "$PID"

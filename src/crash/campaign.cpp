@@ -9,6 +9,7 @@
 #include <exception>
 #include <functional>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -248,18 +249,30 @@ void checkHeaderMatches(const JournalHeader& journal, const JournalHeader& ours,
   }
 }
 
-/// One line naming the exception in flight (called inside a catch block).
-std::string currentExceptionText() {
+/// Fill `failure`'s kind, timeout, reason and region path from the exception
+/// in flight (call inside a catch block). `site` is the formatted region path
+/// the run died in, for the exceptions that carry none. Any other exception
+/// type propagates.
+void describeFailure(TrialFailure& failure, const std::string& site,
+                     std::uint64_t timeoutMs) {
   try {
     throw;
-  } catch (const AttemptFailure& f) {
-    return f.reason;
   } catch (const runtime::TrialCancelled&) {
-    return "cancelled by the watchdog";
+    failure.kind = "timeout";
+    failure.timeout = true;
+    failure.reason =
+        "watchdog: trial exceeded its " + std::to_string(timeoutMs) + " ms deadline";
+    failure.regionPath = site;
+  } catch (const AttemptFailure& f) {
+    failure.kind = f.kind;
+    failure.timeout = f.timeout;
+    failure.reason = f.reason;
+    failure.regionPath = f.regionPath;
   } catch (const std::exception& e) {
-    return e.what();
-  } catch (...) {
-    return "unknown exception";
+    failure.kind = "exception";
+    failure.timeout = false;
+    failure.reason = e.what();
+    failure.regionPath = site;
   }
 }
 
@@ -602,29 +615,27 @@ class InProcessExecutor final : public TrialExecutor {
     watchdog_.emplace(std::chrono::milliseconds(timeoutMs), slots);
   }
 
-  int trial(std::size_t t, std::uint64_t crashIndex, int slot, double budget,
-            CrashTestRecord& record) override {
-    const Deadline deadline(watchdog_, slot, budget);
-    return runner_.runOneTest(golden_, crashIndex, t, deadline.cancel, record);
-  }
-
   int restart(std::size_t t, const SweepCapture& capture, int slot, double budget,
               CrashTestRecord& record) override {
     const Deadline deadline(watchdog_, slot, budget);
     return runner_.runRestart(golden_, capture, t, deadline.cancel, record);
   }
 
-  bool sweep(const SweepPlan& plan, int slot, const OnCapture& onCapture) override {
+  bool sweep(const SweepPlan& plan, int slot, const OnCapture& onCapture,
+             std::string& throwSite) override {
     const Deadline deadline(watchdog_, slot, 1.0);
-    return runner_.sweepRun(golden_, plan, deadline.cancel, [&](SweepCapture&& capture) {
-      // Waiting on a full restart queue is backpressure, not a hung
-      // simulation: suspend the sweep's deadline while parked.
-      if (watchdog_) watchdog_->disarm(slot);
-      const bool more =
-          onCapture(std::make_shared<const SweepCapture>(std::move(capture)));
-      if (watchdog_) watchdog_->arm(slot);
-      return more;
-    });
+    return runner_.sweepRun(
+        golden_, plan, deadline.cancel,
+        [&](SweepCapture&& capture) {
+          // Waiting on a full restart queue is backpressure, not a hung
+          // simulation: suspend the sweep's deadline while parked.
+          if (watchdog_) watchdog_->disarm(slot);
+          const bool more =
+              onCapture(std::make_shared<const SweepCapture>(std::move(capture)));
+          if (watchdog_) watchdog_->arm(slot);
+          return more;
+        },
+        throwSite);
   }
 
  private:
@@ -861,27 +872,22 @@ CampaignResult CampaignRunner::run() const {
   threads = std::max(1, std::min<int>(threads, std::max(1, config_.numTests)));
 
   // The sweep's capture plan. Decided (resumed) trials never re-enter.
+  // Sharded: the sweep captures only the crash points this shard's owned
+  // trials drew. Duplicate indices whose trials straddle shards are captured
+  // independently on each shard — the capture is deterministic, so the
+  // decided records still merge byte-identically.
   SweepPlan sweepPlan;
-  if (config_.sweep) {
-    // Sharded: the sweep captures only the crash points this shard's owned
-    // trials drew. Duplicate indices whose trials straddle shards are
-    // captured independently on each shard — the capture is deterministic,
-    // so the decided records still merge byte-identically.
-    for (std::size_t t = 0; t < n; ++t) {
-      if (!owned(t)) continue;
-      if (!records[t] && !failures[t]) sweepPlan[crashIndices[t]].push_back(t);
-    }
+  for (std::size_t t = 0; t < n; ++t) {
+    if (owned(t) && !records[t] && !failures[t]) sweepPlan[crashIndices[t]].push_back(t);
   }
-  const bool sweepActive = !sweepPlan.empty();
-  // One executor slot per restart worker plus, under the sweep, one for the
-  // producer's crashing run.
-  const int slots = threads + (sweepActive ? 1 : 0);
+  // One executor slot per restart worker plus one for the producer's sweep.
+  const int slots = threads + 1;
 
   // Watchdog deadline base: explicit --trial-timeout-ms wins; otherwise a
   // golden run multiple. The base is the budget for ONE golden run's worth
-  // of work; each trial scales it by its expected work (see
-  // wholeTrialBudget/restartBudget below), so the deadline tracks what the
-  // trial actually owes instead of assuming the worst case for every draw.
+  // of work, which is what the sweep owes; each restart scales it by its
+  // expected work (restartBudget below), so the deadline tracks what the
+  // restart actually owes instead of assuming the worst case for every draw.
   std::uint64_t timeoutMs = 0;
   if (res.isolate && (res.trialTimeoutMs > 0 || res.goldenTimeoutMultiple > 0)) {
     // Under sampled monitoring the golden run is direct-mode and several
@@ -917,7 +923,6 @@ CampaignResult CampaignRunner::run() const {
   std::atomic<std::uint64_t> timeoutCount{0};
   std::atomic<bool> budgetExceeded{false};
   std::atomic<int> newlyCompleted{0};
-  std::atomic<std::size_t> next{0};
   // Without isolation an exception must abort the campaign, but letting it
   // escape a pool thread would terminate the process: the first one is
   // parked here and rethrown on the calling thread after the join.
@@ -995,37 +1000,70 @@ CampaignResult CampaignRunner::run() const {
         });
   }
 
-  // Per-trial watchdog budget in base-timeout units (--trial-timeout-ms or
-  // the golden multiple stays the base). A whole trial simulates the crashing
-  // run up to its crash index (crashIndex/windowAccesses of a golden run)
-  // plus a restart that may legitimately run to the iteration cap; a
-  // sweep-fed restart only owes the post-bookmark iterations. Without this
-  // scaling a slow late-crash trial times out under a deadline that is ample
-  // for the average draw.
-  const auto wholeTrialBudget = [&](std::uint64_t crashIndex) {
-    return static_cast<double>(crashIndex) /
-               static_cast<double>(result.golden.windowAccesses) +
-           static_cast<double>(config_.maxIterationFactor);
-  };
+  // A restart's watchdog budget in base-timeout units (--trial-timeout-ms or
+  // the golden multiple stays the base): it owes the iterations from its
+  // bookmark up to the cap. Without this scaling a slow early-crash restart
+  // times out under a deadline that is ample for the average draw.
   const auto restartBudget = [&](const SweepCapture& capture) {
     const int cap = result.golden.finalIteration * config_.maxIterationFactor;
     return static_cast<double>(cap - capture.restartIteration) /
            static_cast<double>(std::max(1, result.golden.finalIteration));
   };
 
-  // Decides trial t by running `attempt` — a whole trial, or just the restart
-  // when a sweep capture supplies the crashing half — honouring isolation and
-  // the retry budget. Exceptions propagate only when isolation is off (the
-  // legacy all-or-nothing behaviour).
-  const auto decideTrial = [&](std::size_t t, auto&& attempt) {
-    const auto timedAttempt = [&](CrashTestRecord& record) {
+  // One failed attempt of trial t: the timeout tally, and the retry tally
+  // when another attempt follows.
+  const auto failedAttempt = [&](std::size_t t, int att, const TrialFailure& failure,
+                                 bool retrying) {
+    if (failure.timeout) {
+      CampaignMetrics::get().trialTimeouts.add();
+      timeoutCount.fetch_add(1);
+    }
+    if (!retrying) return;
+    CampaignMetrics::get().trialRetries.add();
+    retryCount.fetch_add(1);
+    EC_LOG_DEBUG("trial " << t << " attempt " << att << " failed ("
+                          << failure.reason << "), retrying");
+  };
+  const auto backoff = [&](std::size_t t, int att) {
+    const std::uint64_t ms = retryBackoffMs(res, config_.seed, t, att);
+    if (ms == 0) return;
+    CampaignMetrics::get().retryBackoff.observe(static_cast<double>(ms));
+    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+  };
+  // A trial given up on after its last attempt.
+  const auto recordFailure = [&](const TrialFailure& failure) {
+    CampaignMetrics::get().trialFailures.add();
+    EC_LOG_WARN("trial " << failure.trial << " abandoned after " << failure.attempts
+                         << " attempt(s): " << failure.reason);
+    if (telemetry::tracing()) {
+      telemetry::TraceEvent("trial_failed")
+          .field("trial", static_cast<std::uint64_t>(failure.trial))
+          .field("crash_access", failure.crashAccessIndex)
+          .field("kind", failure.kind)
+          .field("timeout", failure.timeout)
+          .field("attempts", failure.attempts)
+          .field("reason", failure.reason)
+          .emit();
+    }
+    failures[failure.trial] = failure;
+    if (journal) journal->recordFailure(failure);
+    const int count = failureCount.fetch_add(1) + 1;
+    if (res.maxFailures >= 0 && count > res.maxFailures) budgetExceeded.store(true);
+    recordDecided(nullptr);
+  };
+
+  // Decides trial t by restarting it from its capture, honouring isolation
+  // and the retry budget. Exceptions propagate only when isolation is off
+  // (the legacy all-or-nothing behaviour).
+  const auto decideTrial = [&](std::size_t t, const SweepCapture& capture, int w) {
+    const auto attempt = [&](CrashTestRecord& record) {
       telemetry::ScopedTimer trialTimer(CampaignMetrics::get().trialUs);
-      return attempt(record);
+      return executor->restart(t, capture, w, restartBudget(capture), record);
     };
     int rejoinedAt = 0;
     if (!res.isolate) {
       CrashTestRecord record;
-      rejoinedAt = timedAttempt(record);
+      rejoinedAt = attempt(record);
       records[t] = std::move(record);
     } else {
       const int maxAttempts = 1 + std::max(0, res.maxRetries);
@@ -1037,64 +1075,17 @@ CampaignResult CampaignRunner::run() const {
         failure.attempts = att;
         CrashTestRecord record;
         try {
-          rejoinedAt = timedAttempt(record);
+          rejoinedAt = attempt(record);
           completed = true;
           records[t] = std::move(record);
-        } catch (const runtime::TrialCancelled&) {
-          failure.kind = "timeout";
-          failure.timeout = true;
-          failure.reason = "watchdog: trial exceeded its " +
-                           std::to_string(timeoutMs) + " ms deadline";
-          failure.regionPath = formatRegionPath(record.regionPath);
-        } catch (const AttemptFailure& f) {
-          failure.kind = f.kind;
-          failure.timeout = f.timeout;
-          failure.reason = f.reason;
-          failure.regionPath = f.regionPath;
-        } catch (const std::exception& e) {
-          failure.kind = "exception";
-          failure.timeout = false;
-          failure.reason = e.what();
-          failure.regionPath = formatRegionPath(record.regionPath);
-        }
-        if (!completed && failure.timeout) {
-          CampaignMetrics::get().trialTimeouts.add();
-          timeoutCount.fetch_add(1);
-        }
-        if (!completed && att < maxAttempts) {
-          CampaignMetrics::get().trialRetries.add();
-          retryCount.fetch_add(1);
-          EC_LOG_DEBUG("trial " << t << " attempt " << att
-                                << " failed (" << failure.reason << "), retrying");
-          const std::uint64_t backoff = retryBackoffMs(res, config_.seed, t, att);
-          if (backoff > 0) {
-            CampaignMetrics::get().retryBackoff.observe(
-                static_cast<double>(backoff));
-            std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-          }
+        } catch (...) {
+          describeFailure(failure, formatRegionPath(record.regionPath), timeoutMs);
+          failedAttempt(t, att, failure, att < maxAttempts);
+          if (att < maxAttempts) backoff(t, att);
         }
       }
       if (!completed) {
-        CampaignMetrics::get().trialFailures.add();
-        EC_LOG_WARN("trial " << t << " abandoned after " << failure.attempts
-                             << " attempt(s): " << failure.reason);
-        if (telemetry::tracing()) {
-          telemetry::TraceEvent("trial_failed")
-              .field("trial", static_cast<std::uint64_t>(t))
-              .field("crash_access", failure.crashAccessIndex)
-              .field("kind", failure.kind)
-              .field("timeout", failure.timeout)
-              .field("attempts", failure.attempts)
-              .field("reason", failure.reason)
-              .emit();
-        }
-        failures[t] = failure;
-        if (journal) journal->recordFailure(failure);
-        const int count = failureCount.fetch_add(1) + 1;
-        if (res.maxFailures >= 0 && count > res.maxFailures) {
-          budgetExceeded.store(true);
-        }
-        recordDecided(nullptr);
+        recordFailure(failure);
         return;
       }
     }
@@ -1107,45 +1098,16 @@ CampaignResult CampaignRunner::run() const {
     }
   };
 
-  // Sweep-claimed trials: flagged by the producer just before the capture is
-  // queued (the queue mutex publishes the write), so the per-trial claim
-  // loop never re-runs a trial the restart pipeline already owns.
-  std::vector<char> claimed(n, 0);
-
-  // Per-trial claim loop: the whole campaign without the sweep, the fallback
-  // for whatever the sweep could not capture with it.
-  const auto claimLoop = [&](int w) {
-    while (!halted()) {
-      const std::size_t t = next.fetch_add(1);
-      if (t >= n) return;
-      // Skip another shard's trial (--shard i/k), one the sweep owns and one
-      // replayed from the journal. `claimed` goes first: a claimed trial's
-      // slots are being written by a restart worker, so reading them races.
-      if (!owned(t) || claimed[t] != 0 || records[t] || failures[t]) continue;
-      decideTrial(t, [&](CrashTestRecord& record) {
-        return executor->trial(t, crashIndices[t], w, wholeTrialBudget(crashIndices[t]),
-                               record);
-      });
-    }
-  };
-
-  // Restart worker: drain the capture queue, then fall back to the per-trial
-  // claim loop for anything the sweep missed. A stop request abandons the
+  // Restart worker: drain the capture queue. A stop request abandons the
   // queued captures (the queue is deep — draining it would decide most of
   // the campaign after the operator asked it to stop); in-flight restarts
-  // finish and are journaled, exactly like per-trial runs.
+  // finish and are journaled.
   const auto restartWorker = [&](int w) {
     try {
       while (!halted()) {
         const auto entry = queue.pop();
-        if (!entry) {
-          claimLoop(w);
-          return;
-        }
-        decideTrial(entry->trial, [&](CrashTestRecord& record) {
-          return executor->restart(entry->trial, *entry->capture, w,
-                                   restartBudget(*entry->capture), record);
-        });
+        if (!entry) return;
+        decideTrial(entry->trial, *entry->capture, w);
       }
       queue.abort();
     } catch (...) {
@@ -1154,62 +1116,97 @@ CampaignResult CampaignRunner::run() const {
     }
   };
 
-  // --- Single-sweep evaluator -------------------------------------------
+  // --- The sweep ----------------------------------------------------------
   // ONE crashing run visits every pending crash point in ascending order and
   // captures it read-only; a real CrashEvent armed at the last index ends
   // the run without simulating the tail. Restarts are consumed concurrently
   // by the restart workers, overlapping with the sweep itself.
+  //
+  // A sweep that dies is one failed attempt of the first crash point it had
+  // not captured: that point's own crashing run executes the same accesses,
+  // so it would die the same way. Once the point's retries are spent, its
+  // trials become failures; either way the rest of the plan is swept again.
   const auto produceSweep = [&](int slot) {
-    CampaignMetrics::get().sweepRuns.add();
-    std::size_t captured = 0;
-    bool completed = false;
-    auto pending = sweepPlan.cbegin();
-    try {
-      completed = executor->sweep(
-          sweepPlan, slot, [&](std::shared_ptr<const SweepCapture> capture) {
-            EC_CHECK_MSG(pending != sweepPlan.cend() &&
-                             pending->first == capture->crashAccessIndex,
-                         "sweep: capture out of order");
-            const std::vector<std::size_t>& trials = (pending++)->second;
-            ++captured;
-            CampaignMetrics::get().sweepCaptures.add();
-            for (const std::size_t t : trials) {
-              if (halted()) return false;
-              claimed[t] = 1;
-              if (!queue.push({t, capture})) return false;
-            }
-            return !halted();
-          });
-    } catch (...) {
-      EC_LOG_WARN("sweep run failed (" << currentExceptionText() << ") after "
-                  << captured << "/" << sweepPlan.size() << " capture(s); "
-                  "uncaptured trials fall back to the per-trial path");
-    }
-    if (!completed) {
-      CampaignMetrics::get().sweepFallbacks.add(sweepPlan.size() - captured);
-    }
-    if (telemetry::tracing()) {
-      telemetry::TraceEvent("sweep_end")
-          .field("run", "sweep")
-          .field("captures", static_cast<std::uint64_t>(captured))
-          .field("planned", static_cast<std::uint64_t>(sweepPlan.size()))
-          .field("completed", completed)
-          .emit();
+    const int maxAttempts = 1 + std::max(0, res.maxRetries);
+    int attempts = 0;  // dead sweeps charged to sweepPlan's first point
+    while (!sweepPlan.empty() && !halted()) {
+      CampaignMetrics::get().sweepRuns.add();
+      const std::size_t planned = sweepPlan.size();
+      auto pending = sweepPlan.cbegin();
+      bool completed = false;
+      bool died = false;
+      TrialFailure failure;
+      std::string throwSite;
+      try {
+        completed = executor->sweep(
+            sweepPlan, slot,
+            [&](std::shared_ptr<const SweepCapture> capture) {
+              EC_CHECK_MSG(pending != sweepPlan.cend() &&
+                               pending->first == capture->crashAccessIndex,
+                           "sweep: capture out of order");
+              const std::vector<std::size_t>& trials = (pending++)->second;
+              CampaignMetrics::get().sweepCaptures.add();
+              for (const std::size_t t : trials) {
+                if (halted() || !queue.push({t, capture})) return false;
+              }
+              return !halted();
+            },
+            throwSite);
+        EC_CHECK_MSG(completed || halted(), "sweep ended before its last crash point");
+      } catch (...) {
+        if (!res.isolate) throw;
+        describeFailure(failure, throwSite, timeoutMs);
+        died = true;
+      }
+      const auto captured =
+          static_cast<std::size_t>(std::distance(sweepPlan.cbegin(), pending));
+      if (telemetry::tracing()) {
+        telemetry::TraceEvent("sweep_end")
+            .field("run", "sweep")
+            .field("captures", static_cast<std::uint64_t>(captured))
+            .field("planned", static_cast<std::uint64_t>(planned))
+            .field("completed", completed)
+            .emit();
+      }
+      if (captured > 0) attempts = 0;
+      sweepPlan.erase(sweepPlan.cbegin(), pending);
+      if (!died || sweepPlan.empty()) continue;
+
+      CampaignMetrics::get().sweepFallbacks.add();
+      const auto& [index, trials] = *sweepPlan.cbegin();
+      const bool retrying = ++attempts < maxAttempts;
+      EC_LOG_WARN("sweep run died (" << failure.reason << ") after " << captured << "/"
+                  << planned << " capture(s); attempt " << attempts << "/" << maxAttempts
+                  << " of crash point " << index);
+      for (const std::size_t t : trials) failedAttempt(t, attempts, failure, retrying);
+      if (retrying) {
+        backoff(trials.front(), attempts);
+        continue;
+      }
+      failure.crashAccessIndex = index;
+      failure.attempts = attempts;
+      for (const std::size_t t : trials) {
+        failure.trial = t;
+        recordFailure(failure);
+      }
+      sweepPlan.erase(sweepPlan.cbegin());
+      attempts = 0;
     }
   };
 
   std::vector<std::thread> restartThreads;
   restartThreads.reserve(static_cast<std::size_t>(threads));
   for (int w = 0; w < threads; ++w) restartThreads.emplace_back(restartWorker, w);
-  if (sweepActive) {
-    // The calling thread is the producer. Once it has nothing left to feed
-    // it joins the restart workers on the sweep's slot.
+  // The calling thread is the producer. Once it has nothing left to sweep
+  // it joins the restart workers on the sweep's slot.
+  try {
     produceSweep(threads);
-    queue.close();
-    restartWorker(threads);
-  } else {
-    queue.close();
+  } catch (...) {
+    parkError();
+    queue.abort();
   }
+  queue.close();
+  restartWorker(threads);
   for (auto& thread : restartThreads) thread.join();
 
   if (journal) journal->close();
@@ -1280,24 +1277,6 @@ CampaignResult CampaignRunner::run() const {
   return result;
 }
 
-std::unique_ptr<runtime::IApp> CampaignRunner::startCrashRun(
-    Runtime& rt, const std::string& traceRun, std::uint64_t crashIndex,
-    const std::atomic<bool>* cancel) const {
-  rt.setBulk(config_.bulk);
-  rt.setScan(config_.scan);
-  rt.setPlan(config_.plan);
-  applyMonitorRouting(rt);
-  rt.setCancelFlag(cancel);
-  rt.setTraceRun(traceRun);
-  armProfile(rt);
-  auto app = factory_();
-  app->setup(rt);
-  app->initialize(rt);
-  rt.armCrash(crashIndex);
-  armWorkerFault(rt);
-  return app;
-}
-
 SweepCapture CampaignRunner::capturePostmortem(const Runtime& rt, const CrashEvent& at,
                                                std::uint64_t crashIndex,
                                                std::size_t trial) const {
@@ -1324,46 +1303,18 @@ SweepCapture CampaignRunner::capturePostmortem(const Runtime& rt, const CrashEve
   return capture;
 }
 
-int CampaignRunner::runOneTest(const GoldenStats& golden, std::uint64_t crashIndex,
-                               std::size_t trial, const std::atomic<bool>* cancel,
-                               CrashTestRecord& record) const {
-  record = CrashTestRecord{};
-  record.crashAccessIndex = crashIndex;
-
+bool CampaignRunner::sweepRun(const GoldenStats& golden, const SweepPlan& plan,
+                              const std::atomic<bool>* cancel,
+                              const std::function<bool(SweepCapture&&)>& onCapture,
+                              std::string& throwSite) const {
   Runtime rt(config_.cache);
-  auto app = startCrashRun(rt, "crash:" + std::to_string(trial), crashIndex, cancel);
-  SweepCapture capture;
-  try {
-    // The span ends when the armed CrashEvent unwinds out of the try block,
-    // so phase_end marks the crash instant.
-    telemetry::PhaseSpan crashSpan("crash_run", CampaignMetrics::get().crashRunUs,
-                                   static_cast<std::int64_t>(trial));
-    (void)Driver::run(*app, rt, 1, golden.finalIteration);
-    // Determinism guarantees the armed crash fires; reaching here is a bug
-    // in the app (non-deterministic access sequence).
-    EC_CHECK_MSG(false, "armed crash did not fire — app is non-deterministic");
-  } catch (const CrashEvent& crash) {
-    capture = capturePostmortem(rt, crash, crashIndex, trial);
-    rt.powerLoss();
-  } catch (...) {
-    // The armed crash never fired — the app (or the watchdog) threw mid-run,
-    // so there is no CrashEvent to read the crash site from. Take it from
-    // the runtime's throw-site snapshot (the live stack is already unwound)
-    // so the failure report still names where the run died.
-    const auto& path = rt.throwRegionPath();
-    record.region = path.empty() ? rt.activeRegion() : path.back();
-    record.regionPath = path;
-    throw;
-  }
-  noteRun(rt);
-
-  return runRestart(golden, capture, trial, cancel, record);
-}
-
-bool CampaignRunner::sweepRun(
-    const GoldenStats& golden, const SweepPlan& plan, const std::atomic<bool>* cancel,
-    const std::function<bool(SweepCapture&&)>& onCapture) const {
-  Runtime rt(config_.cache);
+  rt.setBulk(config_.bulk);
+  rt.setScan(config_.scan);
+  rt.setPlan(config_.plan);
+  applyMonitorRouting(rt);
+  rt.setCancelFlag(cancel);
+  rt.setTraceRun("sweep");
+  armProfile(rt);
   std::size_t captured = 0;
   bool completed = false;
   try {
@@ -1373,7 +1324,11 @@ bool CampaignRunner::sweepRun(
     std::vector<std::uint64_t> indices;
     indices.reserve(plan.size());
     for (const auto& [index, trials] : plan) indices.push_back(index);
-    auto app = startCrashRun(rt, "sweep", indices.back(), cancel);
+    auto app = factory_();
+    app->setup(rt);
+    app->initialize(rt);
+    rt.armCrash(indices.back());
+    armWorkerFault(rt);
     auto pending = plan.cbegin();
     rt.armCaptures(std::move(indices), [&](const CrashEvent& at) {
       const auto& [index, trials] = *pending++;
@@ -1399,6 +1354,9 @@ bool CampaignRunner::sweepRun(
   } catch (const SweepAbort&) {
     // Stop requested or the restart pipeline went away; not an error.
   } catch (...) {
+    // The run died before its last crash point. The live stack is already
+    // unwound, so the runtime's throw-site snapshot names where.
+    throwSite = formatRegionPath(rt.throwRegionPath());
     rt.powerLoss();
     noteRun(rt);
     throw;

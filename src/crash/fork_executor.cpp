@@ -42,16 +42,16 @@ namespace {
 
 // ---- Wire protocol ----------------------------------------------------------
 //
-// Requests (parent -> worker):  'T' whole trial {trial, crashIndex}
-//                               'R' restart only {trial, capture}
+// Requests (parent -> worker):  'R' restart {trial, capture}
 //                               'S' sweep {plan}
 //                               'A' / 'X' ack of one streamed sweep capture
 //                                   (continue / wind down)
-// Responses (worker -> parent): 'r' trial/restart result {accounting, status,
+// Responses (worker -> parent): 'r' restart result {accounting, status,
 //                                   record + rejoin iteration |
 //                                   reason + region path}
 //                               'c' one streamed sweep capture (await ack)
-//                               'e' sweep end {accounting, completed, error}
+//                               'e' sweep end {accounting, completed, error,
+//                                   region path}
 // Integers are little-endian; snapshot payloads ride the slot's shared
 // arena when they fit (the common case — the arena is sized off the app's
 // candidate bytes) and fall back to inline frame bytes when they don't.
@@ -524,15 +524,6 @@ class ForkExecutor final : public TrialExecutor {
     CampaignMetrics::get().workerSpawns.add(pool_->spawnCount());
   }
 
-  int trial(std::size_t t, std::uint64_t crashIndex, int slot, double budget,
-            CrashTestRecord& record) override {
-    WireWriter req;
-    req.u8('T');
-    req.u64(t);
-    req.u64(crashIndex);
-    return decideReply(slot, roundTrip(slot, req.take(), budget), t, record);
-  }
-
   int restart(std::size_t t, const SweepCapture& capture, int slot, double budget,
               CrashTestRecord& record) override {
     WireWriter req;
@@ -545,8 +536,11 @@ class ForkExecutor final : public TrialExecutor {
   /// The sweep runs in the slot's worker, which streams each capture back as
   /// a 'c' frame. The parent decodes it out of the shared arena, hands it to
   /// the scheduler and acks — the ack handshake IS the restart-queue
-  /// backpressure the in-process sweep gets from blocking in onCapture.
-  bool sweep(const SweepPlan& plan, int slot, const OnCapture& onCapture) override {
+  /// backpressure the in-process sweep gets from blocking in onCapture. A
+  /// run that threw in the worker comes back as an 'e' error with its
+  /// throw-site path, an AttemptFailure like a failed restart's.
+  bool sweep(const SweepPlan& plan, int slot, const OnCapture& onCapture,
+             std::string& throwSite) override {
     WireWriter req;
     req.u8('S');
     encodePlan(req, plan);
@@ -566,9 +560,10 @@ class ForkExecutor final : public TrialExecutor {
             applyAccounting(r, runner_.profile_, runner_.profileMutex_);
             const bool all = r.u8() != 0;
             error = r.str();
+            throwSite = r.str();
             return all;
           });
-      if (!error.empty()) throw std::runtime_error(error);
+      if (!error.empty()) throw AttemptFailure{"exception", false, error, throwSite};
       if (completed) return *completed;
     }
   }
@@ -702,7 +697,7 @@ class ForkExecutor final : public TrialExecutor {
   // ---- Child side ----
 
   /// The worker's request loop body (one call per request frame). Runs the
-  /// same runOneTest/runRestart/sweepRun the in-process executor runs and
+  /// same runRestart/sweepRun the in-process executor runs and
   /// ships the result, with the request's run accounting, back to the
   /// parent. Exceptions other than a trial's own escape to the worker main
   /// loop: bad_alloc -> OOM exit, anything else -> protocol.
@@ -718,20 +713,10 @@ class ForkExecutor final : public TrialExecutor {
     WireReader req(request);
     WireWriter resp;
     switch (req.u8()) {
-      case 'T': {
-        const auto t = static_cast<std::size_t>(req.u64());
-        const std::uint64_t crashIndex = req.u64();
-        replyDecided(resp, t, [&](CrashTestRecord& record) {
-          return runner_.runOneTest(golden_, crashIndex, t, nullptr, record);
-        });
-        break;
-      }
       case 'R': {
         const auto t = static_cast<std::size_t>(req.u64());
         const SweepCapture capture = decodeCapture(req, ch.arena(), ch.arenaBytes());
-        replyDecided(resp, t, [&](CrashTestRecord& record) {
-          return runner_.runRestart(golden_, capture, t, nullptr, record);
-        });
+        replyRestart(resp, t, capture);
         break;
       }
       case 'S':
@@ -743,18 +728,17 @@ class ForkExecutor final : public TrialExecutor {
     ch.send(resp.take());
   }
 
-  /// Run one attempt into an 'r' reply: status 0 carries the serialized
+  /// Run one restart into an 'r' reply: status 0 carries the serialized
   /// record and the rejoin iteration, status 1 the exception text and
   /// formatted crash-site path. Both carry the accounting — a failed attempt
   /// still simulated runs the parent must account, exactly as in-process
   /// runs are accounted before their exception propagates.
-  template <typename Attempt>
-  void replyDecided(WireWriter& resp, std::size_t t, Attempt&& attempt) {
+  void replyRestart(WireWriter& resp, std::size_t t, const SweepCapture& capture) {
     CrashTestRecord record;
     int rejoinedAt = 0;
     std::optional<std::string> error;
     try {
-      rejoinedAt = attempt(record);
+      rejoinedAt = runner_.runRestart(golden_, capture, t, nullptr, record);
     } catch (const std::bad_alloc&) {
       throw;
     } catch (const std::exception& e) {
@@ -774,20 +758,25 @@ class ForkExecutor final : public TrialExecutor {
 
   /// The sweep crashing run: each capture streams as a 'c' frame and waits
   /// for the parent's ack; the 'e' reply closes it. A run that throws is
-  /// reported in 'e' for the parent's fallback to cover.
+  /// reported in 'e', with the region path it died in, for the parent to
+  /// charge to the first uncaptured crash point.
   void replySweep(WireWriter& resp, const SweepPlan& plan,
                   const WorkerPool::ChildChannel& ch) {
     bool completed = false;
     std::string error;
+    std::string throwSite;
     try {
-      completed = runner_.sweepRun(golden_, plan, nullptr, [&](SweepCapture&& capture) {
-        WireWriter frame;
-        frame.u8('c');
-        encodeCapture(frame, capture, ch.arena(), ch.arenaBytes());
-        ch.send(frame.take());
-        std::string ack;
-        return ch.recv(ack) && ack == "A";
-      });
+      completed = runner_.sweepRun(
+          golden_, plan, nullptr,
+          [&](SweepCapture&& capture) {
+            WireWriter frame;
+            frame.u8('c');
+            encodeCapture(frame, capture, ch.arena(), ch.arenaBytes());
+            ch.send(frame.take());
+            std::string ack;
+            return ch.recv(ack) && ack == "A";
+          },
+          throwSite);
     } catch (const std::bad_alloc&) {
       throw;
     } catch (const std::exception& e) {
@@ -797,6 +786,7 @@ class ForkExecutor final : public TrialExecutor {
     encodeAccounting(resp, runner_.profile_);
     resp.u8(completed ? 1 : 0);
     resp.str(error);
+    resp.str(throwSite);
   }
 
   const CampaignRunner& runner_;

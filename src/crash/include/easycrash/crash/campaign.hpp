@@ -141,9 +141,6 @@ struct TrialFailure {
   std::string kind = "exception";
 };
 
-/// Fault-tolerance knobs for one campaign (docs/ROBUSTNESS.md). Defaults
-/// keep the legacy all-or-nothing behaviour: no isolation, no watchdog, no
-/// journal; the first trial exception propagates out of run().
 /// How trials are evaluated with respect to the host process.
 enum class IsolationMode {
   None,  ///< in-process (library default; unit tests, embedding)
@@ -152,13 +149,16 @@ enum class IsolationMode {
          ///< is classified, recorded as a TrialFailure and respawned
 };
 
+/// Fault-tolerance knobs for one campaign (docs/ROBUSTNESS.md). Defaults
+/// keep the legacy all-or-nothing behaviour: no isolation, no watchdog, no
+/// journal; the first trial exception propagates out of run().
 struct ResilienceConfig {
   /// Trap per-trial exceptions/EC_CHECK failures into TrialFailure records
   /// instead of aborting the campaign. Also a prerequisite for the watchdog.
   bool isolate = false;
   /// Process isolation for trial execution (requires `isolate`). Fork mode
   /// produces byte-identical CSV/journal/report output for every trial that
-  /// does not die — the same differential bar as sweep/bulk/threads.
+  /// does not die — the same differential bar as bulk/scan/threads.
   IsolationMode isolation = IsolationMode::None;
   /// Abort the campaign once more than this many trials fail for good
   /// (after retries). Negative = unlimited.
@@ -236,14 +236,6 @@ struct CampaignConfig {
   /// identical to a single-threaded run (crash points are pre-drawn and
   /// records land by index). 0 = use the hardware concurrency.
   int threads = 1;
-  /// Single-sweep trial evaluator: ONE crashing run per campaign captures
-  /// every pending crash point read-only (region path, iteration,
-  /// inconsistency rates, snapshots) and restarts consume the captures from
-  /// a queue, overlapping with the sweep. Off = the per-trial path (one
-  /// crashing run per test). Both modes produce byte-identical results for a
-  /// fixed seed; the sweep drops the crashing phase from O(N·W/2) to O(W)
-  /// tracked accesses.
-  bool sweep = true;
   /// Block-granular bulk path for the apps' range accesses. Off lowers every
   /// loadRange/storeRange to the per-element scalar path inside the runtime.
   /// Both settings produce byte-identical campaign results for a fixed seed
@@ -308,9 +300,9 @@ struct GoldenStats {
 
 /// Everything a trial needs from its crashing run, detached from the runtime
 /// that produced it: the crash-instant context plus the restart inputs. The
-/// per-trial path fills one per test; the sweep evaluator fills one per
-/// distinct crash index during its single crashing run and shares it
-/// (read-only) between every trial that drew that index.
+/// campaign's single sweep crashing run fills one per distinct crash index
+/// and shares it (read-only) between every trial that drew that index; a
+/// trial's restart needs nothing else.
 struct SweepCapture {
   std::uint64_t crashAccessIndex = 0;
   runtime::PointId region = runtime::kMainLoopEnd;
@@ -409,22 +401,13 @@ class CampaignRunner {
   // inside a fork worker; `cancel` is the watchdog flag installed on the
   // simulated machines (nullptr = no watchdog).
 
-  /// Per-trial path: one crashing run to `crashIndex`, then runRestart.
-  /// Fills `record` in place so that a mid-trial exception leaves the
-  /// partial progress (crash site, region path) readable for the failure
-  /// report. Returns what runRestart returns.
-  int runOneTest(const GoldenStats& golden, std::uint64_t crashIndex,
-                 std::size_t trial, const std::atomic<bool>* cancel,
-                 CrashTestRecord& record) const;
-
-  /// Restart + S1–S4 classification from a capture. Shared verbatim by the
-  /// per-trial path and the sweep — this is what makes sweep and per-trial
-  /// campaigns byte-identical. The restart follows the golden trajectory:
-  /// once its state equals the golden run's at an iteration boundary it
-  /// stops and takes the golden outcome (S1, no extra iterations, the golden
-  /// verification detail), the record a full restart would produce. Returns
-  /// that boundary (0 when the restart ran to the end); it feeds telemetry
-  /// only, never the record.
+  /// Restart + S1–S4 classification from a capture. Fills `record` in place,
+  /// so the crash site stays readable after a throw. The restart follows
+  /// the golden trajectory: once its state equals the golden run's at an
+  /// iteration boundary it stops and takes the golden outcome (S1, no extra
+  /// iterations, the golden verification detail), the record a full restart
+  /// would produce. Returns that boundary (0 when the restart ran to the
+  /// end); it feeds telemetry only, never the record.
   int runRestart(const GoldenStats& golden, const SweepCapture& capture,
                  std::size_t trial, const std::atomic<bool>* cancel,
                  CrashTestRecord& record) const;
@@ -433,19 +416,12 @@ class CampaignRunner {
   /// ascending order and hands each capture to `onCapture` (false ends the
   /// run early). True iff every index was captured and the armed crash at
   /// the last one fired. Any other failure propagates after the run has been
-  /// accounted (noteRun).
+  /// accounted (noteRun), with the formatted region path the run died in
+  /// left in `throwSite`.
   bool sweepRun(const GoldenStats& golden, const SweepPlan& plan,
                 const std::atomic<bool>* cancel,
-                const std::function<bool(SweepCapture&&)>& onCapture) const;
-
-  /// Crashing-run setup shared by runOneTest and sweepRun: bulk/scan/plan,
-  /// monitor routing, cancel flag, trace label and profiling on `rt`, then
-  /// the app set up and initialised with the crash armed at `crashIndex`
-  /// (plus the injected fault inside a fork worker).
-  std::unique_ptr<runtime::IApp> startCrashRun(runtime::Runtime& rt,
-                                               const std::string& traceRun,
-                                               std::uint64_t crashIndex,
-                                               const std::atomic<bool>* cancel) const;
+                const std::function<bool(SweepCapture&&)>& onCapture,
+                std::string& throwSite) const;
 
   /// NVCT post-mortem at a crash instant: rates and snapshots of every
   /// candidate plus the restart iteration, under a `postmortem` span.

@@ -1,9 +1,9 @@
 // Trial executors: how one campaign trial runs (docs/INTERNALS.md "The
 // campaign scheduler and its trial executors"). Internal to ec_crash.
 //
-// CampaignRunner::run() is the scheduler. It owns the claim loop, the
-// sweep's restart queue, retries and backoff, the journal, the live status
-// and the sweep bookkeeping, and it never asks how a trial executes. Each
+// CampaignRunner::run() is the scheduler. It owns the sweep producer and
+// its restart queue, retries and backoff, the journal, the live status and
+// the recovery of a dead sweep, and it never asks how a run executes. Each
 // piece of work goes to one TrialExecutor:
 //
 //   InProcessExecutor  runs on the scheduler's thread and owns the
@@ -12,8 +12,8 @@
 //                      WorkerPool, the wire codec and the child-side request
 //                      server (fork_executor.cpp).
 //
-// Both call the same CampaignRunner::runOneTest / runRestart / sweepRun, so
-// the records, and the telemetry the runs emit, are the same under either.
+// Both call the same CampaignRunner::runRestart / sweepRun, so the records,
+// and the telemetry the runs emit, are the same under either.
 #pragma once
 
 #include <array>
@@ -31,9 +31,9 @@ namespace easycrash::crash {
 struct CampaignStatus;
 
 /// The campaign's registry instruments. The memsim.* counters mirror the
-/// MemEvents fields, accumulated over every run a campaign simulates (golden
-/// + each trial's crashing and restart runs), so a metrics snapshot
-/// correlates 1:1 with Table 4.
+/// MemEvents fields, accumulated over every run a campaign simulates (the
+/// golden run and the sweep crashing runs; direct-mode restarts add
+/// nothing), so a metrics snapshot correlates 1:1 with Table 4.
 struct CampaignMetrics {
   telemetry::Counter& loads;
   telemetry::Counter& stores;
@@ -120,20 +120,18 @@ class TrialExecutor {
 
   virtual ~TrialExecutor() = default;
 
-  /// Whole trial t on `slot`: crashing run to `crashIndex`, post-mortem,
-  /// restart. Fills `record` in place, so the crash site stays readable
-  /// after a throw. `budget` scales the deadline in golden-run units.
-  /// Returns the iteration the restart rejoined the golden trajectory at
-  /// (0 = it ran to the end; CampaignRunner::runRestart).
-  virtual int trial(std::size_t t, std::uint64_t crashIndex, int slot,
-                    double budget, CrashTestRecord& record) = 0;
-  /// Restart only, from a sweep capture. Returns as trial() does.
+  /// Trial t's restart from its sweep capture, on `slot`. Fills `record` in
+  /// place. `budget` scales the deadline in golden-run units. Returns the
+  /// iteration the restart rejoined the golden trajectory at (0 = it ran to
+  /// the end; CampaignRunner::runRestart).
   virtual int restart(std::size_t t, const SweepCapture& capture, int slot,
                       double budget, CrashTestRecord& record) = 0;
   /// The single sweep crashing run over `plan`. True iff every point was
-  /// captured; throws when the run died, and the scheduler then falls back
-  /// to per-trial runs for the uncaptured tail.
-  virtual bool sweep(const SweepPlan& plan, int slot, const OnCapture& onCapture) = 0;
+  /// captured. When the run dies it throws, with the formatted region path
+  /// it died in left in `throwSite` (or carried by the AttemptFailure), and
+  /// the scheduler charges the death to the first uncaptured point.
+  virtual bool sweep(const SweepPlan& plan, int slot, const OnCapture& onCapture,
+                     std::string& throwSite) = 0;
   /// Worker tallies for the live status snapshot (fork only).
   virtual void fillStatus(CampaignStatus& status) const { (void)status; }
 };

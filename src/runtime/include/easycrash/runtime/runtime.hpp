@@ -185,6 +185,7 @@ class Runtime {
   // ---- Persistence (paper's cache_block_flush / load_value APIs) ------------
 
   /// Flush every cache block of an object (paper Figure 2a lines 20-22).
+  /// A no-op in direct mode, where the bytes already live in the NVM image.
   void persistObject(ObjectId id, memsim::FlushKind kind = memsim::FlushKind::Clflushopt);
   /// Restore an object's bytes by storing `bytes` through the hierarchy
   /// (paper Figure 2b load_value): used on restart.
@@ -216,7 +217,8 @@ class Runtime {
   /// End of one main-loop iteration: persist point + iterator bookmark flush.
   void mainLoopIterationEnd(int iteration);
   /// Record the current main-loop iteration (bookmark object, always
-  /// persisted — paper footnote 3).
+  /// persisted — paper footnote 3). Stored and flushed through the caches,
+  /// or in direct mode written straight to the NVM image.
   void bookmarkIteration(int iteration);
   [[nodiscard]] int bookmarkedIteration() const;
   /// Iteration bookmark surviving in NVM (what a restart would see).
@@ -281,7 +283,7 @@ class Runtime {
   /// runs once, after the access's bytes and clock tick are applied but
   /// before any capture or armed crash at the same index fires — a fault is
   /// process-fatal, so when fault and crash/capture collide the fault must
-  /// win identically on the per-trial and sweep paths. The hook is expected
+  /// win whether the run captures or crashes there. The hook is expected
   /// to terminate the process (`nvct --inject`); if it returns, execution
   /// simply continues. Bulk ranges clamp their chunks to the fault index, so
   /// the hook observes exactly the element-wise memory state.

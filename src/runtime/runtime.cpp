@@ -260,8 +260,9 @@ void Runtime::onAccessSlow(std::uint64_t count) {
   regionAccesses_[pointSlot(region)] += count;
   windowAccesses_ += count;
   // An armed fault is process-fatal and must pre-empt captures and the armed
-  // crash at the same index on the per-trial AND sweep paths alike, so it is
-  // checked before either. The hook normally never returns.
+  // crash at the same index, whether one run captures many crash points or
+  // one crash point is armed per run, so it is checked before either. The
+  // hook normally never returns.
   if (faultAt_ != 0 && windowAccesses_ >= faultAt_) {
     FaultHook hook = std::move(faultHook_);
     faultAt_ = 0;
@@ -366,6 +367,8 @@ void Runtime::storeRangeSimulated(std::uint64_t addr,
 }
 
 void Runtime::persistObject(ObjectId id, memsim::FlushKind kind) {
+  // A direct run keeps every byte in the NVM image already: nothing to flush.
+  if (direct_) return;
   const DataObjectInfo& info = object(id);
   hierarchy_.flushRange(info.addr, info.bytes, kind);
 }
@@ -503,8 +506,14 @@ void Runtime::mainLoopIterationEnd(int iteration) {
 
 void Runtime::bookmarkIteration(int iteration) {
   const DataObjectInfo& info = object(iterObject_);
-  hierarchy_.store(info.addr,
-                   {reinterpret_cast<const std::uint8_t*>(&iteration), sizeof(int)});
+  const std::span<const std::uint8_t> bytes{
+      reinterpret_cast<const std::uint8_t*>(&iteration), sizeof(int)};
+  // A direct run writes the bookmark where a flush would have left it.
+  if (direct_) {
+    nvm_.poke(info.addr, bytes);
+    return;
+  }
+  hierarchy_.store(info.addr, bytes);
   hierarchy_.flushRange(info.addr, info.bytes, plan_.flushKind);
 }
 

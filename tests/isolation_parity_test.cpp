@@ -7,9 +7,12 @@
 // campaign.worker_* counters, which describe the workers themselves.
 //
 // The snapshot goes through the --metrics-out JSON, the same view an
-// operator (and trace_lint) reads.
+// operator (and trace_lint) reads. The parity holds for a clean campaign and
+// for one whose sweeps die mid-window and are re-swept.
+#include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -20,16 +23,63 @@
 
 #include "easycrash/apps/registry.hpp"
 #include "easycrash/crash/campaign.hpp"
+#include "easycrash/runtime/app.hpp"
+#include "easycrash/runtime/runtime.hpp"
 #include "easycrash/telemetry/json.hpp"
 #include "easycrash/telemetry/metrics.hpp"
 
 namespace ec = easycrash;
 namespace cr = easycrash::crash;
+namespace rt = easycrash::runtime;
 namespace tl = easycrash::telemetry;
 
 namespace {
 
 constexpr int kTests = 10;
+/// sp's crashing runs die here in the dying campaigns (sp runs 24).
+constexpr int kDieAtIteration = 12;
+
+/// sp whose crashing runs throw on reaching kDieAtIteration: every sweep
+/// dies mid-window, so the campaign charges each death to a crash point and
+/// sweeps the tail again. The golden run (the factory's first construction)
+/// and the direct-mode restarts are spared.
+class DyingSp final : public rt::IApp {
+ public:
+  DyingSp(std::unique_ptr<rt::IApp> inner, bool dies)
+      : inner_(std::move(inner)), dies_(dies) {}
+
+  [[nodiscard]] const rt::AppInfo& info() const override { return inner_->info(); }
+  void setup(rt::Runtime& runtime) override { inner_->setup(runtime); }
+  void initialize(rt::Runtime& runtime) override { inner_->initialize(runtime); }
+  void iterate(rt::Runtime& runtime, int iteration) override {
+    if (dies_ && !runtime.direct() && iteration >= kDieAtIteration) {
+      throw std::runtime_error("dying sp: induced failure");
+    }
+    inner_->iterate(runtime, iteration);
+  }
+  [[nodiscard]] int nominalIterations() const override {
+    return inner_->nominalIterations();
+  }
+  [[nodiscard]] bool converged(rt::Runtime& runtime, int iteration) override {
+    return inner_->converged(runtime, iteration);
+  }
+  [[nodiscard]] rt::VerifyOutcome verify(rt::Runtime& runtime) override {
+    return inner_->verify(runtime);
+  }
+
+ private:
+  std::unique_ptr<rt::IApp> inner_;
+  bool dies_;
+};
+
+rt::AppFactory spFactory(bool dying) {
+  const rt::AppFactory sp = ec::apps::findBenchmark("sp").factory;
+  if (!dying) return sp;
+  auto constructions = std::make_shared<std::atomic<int>>(0);
+  return [sp, constructions] {
+    return std::make_unique<DyingSp>(sp(), constructions->fetch_add(1) > 0);
+  };
+}
 
 struct MetricsSnapshot {
   std::map<std::string, double> counters;
@@ -38,18 +88,22 @@ struct MetricsSnapshot {
 
 /// Run one sp campaign on a zeroed registry and read its metrics back from
 /// the registry's JSON export.
-MetricsSnapshot runCampaign(cr::IsolationMode isolation, bool sweep) {
+MetricsSnapshot runCampaign(cr::IsolationMode isolation, bool dying) {
   tl::MetricsRegistry::instance().reset();
   cr::CampaignConfig config;
   config.seed = 3;
   config.numTests = kTests;
-  config.sweep = sweep;
   config.resilience.isolate = true;
   config.resilience.isolation = isolation;
-  const auto result =
-      cr::CampaignRunner(ec::apps::findBenchmark("sp").factory, config).run();
-  EXPECT_EQ(result.tests.size(), static_cast<std::size_t>(kTests));
-  EXPECT_TRUE(result.failures.empty());
+  const auto result = cr::CampaignRunner(spFactory(dying), config).run();
+  EXPECT_EQ(result.tests.size() + result.failures.size(),
+            static_cast<std::size_t>(kTests));
+  if (dying) {
+    EXPECT_GT(result.tests.size(), 0u) << "expected early crash points to complete";
+    EXPECT_GT(result.failures.size(), 0u) << "expected late crash points to fail";
+  } else {
+    EXPECT_TRUE(result.failures.empty());
+  }
 
   std::ostringstream os;
   tl::MetricsRegistry::instance().writeJson(os);
@@ -75,10 +129,10 @@ std::set<std::string> keysOf(const Map& a, const Map& b) {
   return keys;
 }
 
-void expectSameTelemetry(bool sweep) {
-  SCOPED_TRACE(sweep ? "sweep on" : "sweep off");
-  const MetricsSnapshot none = runCampaign(cr::IsolationMode::None, sweep);
-  const MetricsSnapshot fork = runCampaign(cr::IsolationMode::Fork, sweep);
+void expectSameTelemetry(bool dying) {
+  SCOPED_TRACE(dying ? "dying sweeps" : "clean sweep");
+  const MetricsSnapshot none = runCampaign(cr::IsolationMode::None, dying);
+  const MetricsSnapshot fork = runCampaign(cr::IsolationMode::Fork, dying);
 
   for (const std::string& name : keysOf(none.counters, fork.counters)) {
     if (name.rfind("campaign.worker_", 0) == 0) continue;
@@ -98,24 +152,40 @@ void expectSameTelemetry(bool sweep) {
 
   // The comparison must not pass vacuously: the campaign really ran, and
   // each phase was observed in both modes.
-  EXPECT_EQ(fork.counters.at("campaign.trials"), kTests);
-  EXPECT_EQ(fork.counters.at("campaign.sweep_runs"), sweep ? 1 : 0);
-  EXPECT_GT(fork.counters.at("memsim.loads"), 0);
-  EXPECT_GT(fork.counters.at("campaign.worker_spawns"), 0);
-  EXPECT_EQ(fork.histogramCounts.at("campaign.restart_us"), kTests);
+  const auto counter = [&](const char* name) {
+    const auto it = fork.counters.find(name);
+    return it == fork.counters.end() ? 0.0 : it->second;
+  };
+  const double trials = counter("campaign.trials");
+  EXPECT_EQ(trials + counter("campaign.trial_failures"), kTests);
+  EXPECT_GT(trials, 0);
+  EXPECT_GT(counter("memsim.loads"), 0);
+  EXPECT_GT(counter("campaign.worker_spawns"), 0);
+  EXPECT_EQ(fork.histogramCounts.at("campaign.restart_us"), trials);
   EXPECT_EQ(fork.histogramCounts.at("campaign.postmortem_us"),
-            fork.counters.at("campaign.sweep_captures") + (sweep ? 0 : kTests));
-  EXPECT_EQ(fork.histogramCounts.at("campaign.crash_run_us"), sweep ? 1 : kTests);
+            counter("campaign.sweep_captures"));
+  EXPECT_EQ(fork.histogramCounts.at("campaign.crash_run_us"),
+            counter("campaign.sweep_runs"));
+  // One sweep when clean; when dying, one more per dead sweep after the
+  // first (each death re-sweeps the tail, the last one leaves none).
+  EXPECT_EQ(counter("campaign.sweep_runs"),
+            dying ? counter("campaign.sweep_fallbacks") : 1);
+  if (dying) {
+    EXPECT_GT(counter("campaign.sweep_fallbacks"), 0);
+  }
 }
 
 }  // namespace
 
 TEST(IsolationParity, ForkAndInProcessEmitTheSameTelemetryWithSweep) {
-  expectSameTelemetry(true);
+  expectSameTelemetry(false);
 }
 
+// A dead sweep is recovered by re-sweeping its tail, in the parent's
+// producer under either executor: the retries, backoffs, failures and the
+// dead runs' simulation counters must land alike.
 TEST(IsolationParity, ForkAndInProcessEmitTheSameTelemetryWithoutSweep) {
-  expectSameTelemetry(false);
+  expectSameTelemetry(true);
 }
 
 // The fold the parent applies to a worker's shipped histogram: absorbing

@@ -212,16 +212,15 @@ TEST(ResilienceTest, JournalResumeReproducesCampaignExactly) {
 }
 
 TEST(ResilienceTest, InterruptedSweepJournalResumesOnEitherPath) {
-  // Kill a sweep-mode campaign mid-flight (the sweep decides trials in
-  // crash-index order, so the journal holds a scattered set of indices),
-  // then resume it once per evaluator mode: both must reconstruct the
-  // uninterrupted campaign exactly.
+  // Stop a campaign mid-flight (the sweep decides trials in crash-index
+  // order, so the journal holds a scattered set of indices), then resume it
+  // in-process on one thread and in fork workers on four: both must
+  // reconstruct the uninterrupted campaign exactly.
   StopFlagGuard guard;
   const std::string journal = tempPath("sweep_resume.jsonl");
   std::remove(journal.c_str());
 
   auto config = tinyConfig(30);
-  config.sweep = true;
   config.resilience.isolate = true;
   config.resilience.journalPath = journal;
   config.resilience.journalFlushEvery = 2;
@@ -234,11 +233,13 @@ TEST(ResilienceTest, InterruptedSweepJournalResumesOnEitherPath) {
   cr::clearStopFlag();
   const auto fresh = cr::CampaignRunner(faultyFactory({}), tinyConfig(30)).run();
 
-  for (const bool sweepOnResume : {true, false}) {
+  for (const bool forkOnResume : {false, true}) {
     cr::clearStopFlag();
     auto resumeConfig = tinyConfig(30);
-    resumeConfig.sweep = sweepOnResume;
+    resumeConfig.threads = forkOnResume ? 4 : 1;
     resumeConfig.resilience.isolate = true;
+    resumeConfig.resilience.isolation =
+        forkOnResume ? cr::IsolationMode::Fork : cr::IsolationMode::None;
     resumeConfig.resilience.resumePath = journal;
     const auto resumed = cr::CampaignRunner(faultyFactory({}), resumeConfig).run();
     EXPECT_FALSE(resumed.interrupted);
@@ -248,7 +249,7 @@ TEST(ResilienceTest, InterruptedSweepJournalResumesOnEitherPath) {
     std::ostringstream b;
     cr::writeCampaignCsv(fresh, a);
     cr::writeCampaignCsv(resumed, b);
-    EXPECT_EQ(a.str(), b.str()) << "sweep-on-resume=" << sweepOnResume;
+    EXPECT_EQ(a.str(), b.str()) << "fork-on-resume=" << forkOnResume;
   }
   std::remove(journal.c_str());
 }
@@ -373,9 +374,9 @@ TEST(ResilienceTest, WatchdogBudgetFactorScalesTheDeadline) {
 
 namespace {
 
-/// FaultyApp with a fixed wall-clock cost per iteration: trial duration
-/// scales with the crash index, which is exactly what the per-trial budget
-/// model must absorb. Sleep-driven so load on the CI machine cannot shrink
+/// FaultyApp with a fixed wall-clock cost per iteration: a restart's
+/// duration scales with the iterations it owes, which is exactly what the
+/// per-restart budget model must absorb. Sleep-driven so load on the CI machine cannot shrink
 /// the cost below the nominal value.
 class SleepyApp final : public rt::IApp {
  public:
@@ -427,14 +428,13 @@ class SleepyApp final : public rt::IApp {
 
 TEST(ResilienceTest, LateCrashTrialsFitTheScaledBudget) {
   // Regression for the flat-deadline bug: the golden run takes ~40 ms
-  // (8 iterations x 5 ms), and with the 55 ms base deadline below, a
-  // late-crash trial — a near-complete crashing run plus a restart that
-  // re-runs from scratch — costs ~80 ms of sleeps and would be cancelled
-  // spuriously. The per-trial budget (crash fraction + maxIterationFactor)
-  // scales the deadline to ~165 ms, so no trial may time out.
+  // (8 iterations x 5 ms), and the base deadline below is 55 ms. The sweep
+  // owes at most one golden run, so the base covers it. A restart owes the
+  // iterations from its bookmark to the cap, and its budget scales the base
+  // by (cap - bookmark) / golden iterations — up to ~100 ms for the earliest
+  // bookmarks — so no sweep or restart may time out.
   const std::uint64_t before = counterValue("campaign.trial_timeouts");
   auto config = tinyConfig(6);
-  config.sweep = false;  // the per-trial path arms one whole-trial budget
   config.resilience.isolate = true;
   config.resilience.maxRetries = 0;
   config.resilience.trialTimeoutMs = 55;

@@ -3,7 +3,10 @@
 // memcpy per access against the pinned NVM image, a folded crash clock).
 // For every app, seeded crash snapshots are restarted twice — natively and
 // through the simulated cache hierarchy — and the two runs must agree on the
-// whole RunResult and on every crash-clock observable.
+// whole RunResult and on every crash-clock observable. A direct restart
+// under the persist-everywhere plan (candidates@main) must also leave the
+// memory system untouched: its persist ops and iteration bookmarks run
+// without a flush, so every MemEvents counter stays zero.
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -16,6 +19,7 @@
 #include "easycrash/apps/registry.hpp"
 #include "easycrash/common/rng.hpp"
 #include "easycrash/crash/campaign.hpp"
+#include "easycrash/crash/plan_spec.hpp"
 #include "easycrash/runtime/app.hpp"
 #include "easycrash/runtime/runtime.hpp"
 
@@ -39,14 +43,16 @@ struct RestartObservation {
   std::uint64_t windowAccesses = 0;
   std::map<rt::PointId, std::uint64_t> regionAccesses;
   std::map<rt::PointId, std::uint64_t> regionIterationEnds;
+  ec::memsim::MemEvents events;
+  std::uint64_t persistenceOps = 0;
 };
 
 RestartObservation restart(const rt::AppFactory& factory, const Snapshot& snapshot,
-                           int cap, bool direct) {
+                           int cap, bool direct, const rt::PersistencePlan& plan = {}) {
   const ec::crash::CampaignConfig config;
   rt::Runtime runtime(config.cache);
   runtime.setDirect(direct);
-  runtime.setPlan(config.plan);
+  runtime.setPlan(plan);
   auto app = factory();
   app->setup(runtime);
   app->initialize(runtime);
@@ -57,7 +63,30 @@ RestartObservation restart(const rt::AppFactory& factory, const Snapshot& snapsh
   out.windowAccesses = runtime.windowAccesses();
   out.regionAccesses = runtime.regionAccesses();
   out.regionIterationEnds = runtime.regionIterationEnds();
+  out.events = runtime.events();
+  out.persistenceOps = runtime.persistenceOps();
   return out;
+}
+
+void expectNoMemEvents(const ec::memsim::MemEvents& e) {
+  EXPECT_EQ(e.loads, 0u);
+  EXPECT_EQ(e.stores, 0u);
+  for (std::size_t level = 0; level < ec::memsim::kMaxLevels; ++level) {
+    EXPECT_EQ(e.hits[level], 0u) << "level " << level;
+    EXPECT_EQ(e.misses[level], 0u) << "level " << level;
+  }
+  EXPECT_EQ(e.nvmBlockReads, 0u);
+  EXPECT_EQ(e.nvmBlockWrites, 0u);
+  EXPECT_EQ(e.flushDirty, 0u);
+  EXPECT_EQ(e.flushClean, 0u);
+  EXPECT_EQ(e.flushNonResident, 0u);
+  EXPECT_EQ(e.flushInducedNvmWrites, 0u);
+  EXPECT_EQ(e.rangeLoads, 0u);
+  EXPECT_EQ(e.rangeStores, 0u);
+  EXPECT_EQ(e.rangeSplitBlocks, 0u);
+  EXPECT_EQ(e.postmortemBlocksSkipped, 0u);
+  EXPECT_EQ(e.postmortemBlocksCompared, 0u);
+  EXPECT_EQ(e.postmortemBytesCompared, 0u);
 }
 
 class RestartOracle : public ::testing::TestWithParam<std::string> {};
@@ -106,6 +135,14 @@ TEST_P(RestartOracle, NativeRestartMatchesSimulatedRestart) {
   (void)rt::Driver::run(*crashingApp, crashing, 1, goldenRun.finalIteration);
   ASSERT_EQ(snapshots.size(), points.size());
 
+  rt::PersistencePlan persistAll;
+  {
+    rt::Runtime probe;
+    auto app = factory();
+    app->setup(probe);
+    persistAll = ec::crash::parsePlanSpec("candidates@main", probe);
+  }
+
   for (const Snapshot& snapshot : snapshots) {
     SCOPED_TRACE("crash at window access " + std::to_string(snapshot.accessIndex));
     const RestartObservation native = restart(factory, snapshot, cap, /*direct=*/true);
@@ -126,6 +163,14 @@ TEST_P(RestartOracle, NativeRestartMatchesSimulatedRestart) {
     EXPECT_EQ(native.windowAccesses, simulated.windowAccesses);
     EXPECT_EQ(native.regionAccesses, simulated.regionAccesses);
     EXPECT_EQ(native.regionIterationEnds, simulated.regionIterationEnds);
+    expectNoMemEvents(native.events);
+
+    const RestartObservation planned =
+        restart(factory, snapshot, cap, /*direct=*/true, persistAll);
+    if (planned.result.iterationsExecuted > 0) {
+      EXPECT_GT(planned.persistenceOps, 0u) << "the plan's persist ops must still run";
+    }
+    expectNoMemEvents(planned.events);
   }
 }
 

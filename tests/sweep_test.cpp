@@ -1,15 +1,15 @@
 // Tests for the single-sweep campaign evaluator (docs/INTERNALS.md): the
 // runtime's multi-arm capture API, capture non-perturbation, and the
-// campaign-level guarantee that --sweep on/off produce byte-identical
-// results across thread counts, duplicate crash indices, and the fallback
-// path taken when the sweep run itself dies.
-#include <atomic>
+// campaign-level guarantee that the sweep decides every trial as the
+// per-trial oracle (tests/trial_oracle.hpp) does — across thread counts,
+// duplicate crash indices, and the re-sweep taken when the sweep run itself
+// dies.
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +19,8 @@
 #include "easycrash/runtime/runtime.hpp"
 #include "easycrash/runtime/tracked.hpp"
 #include "easycrash/telemetry/metrics.hpp"
+#include "sweep_app.hpp"
+#include "trial_oracle.hpp"
 
 namespace rt = easycrash::runtime;
 namespace cr = easycrash::crash;
@@ -27,91 +29,8 @@ namespace tl = easycrash::telemetry;
 
 namespace {
 
-/// Accumulator app mirroring campaign_test's ProbeApp, with a knob that
-/// throws a harness-level exception (not an AppInterrupt) at a fixed
-/// iteration — the "throw before the armed crash fires" failure path.
-class SweepApp final : public rt::IApp {
- public:
-  struct Knobs {
-    int iterations = 6;
-    int cells = 256;
-    /// 0 = never; otherwise crashing runs die on reaching this iteration.
-    /// Restarts are exempt (they run in direct mode), and sweepFactory
-    /// exempts the first construction so the golden run completes.
-    int throwAtIteration = 0;
-  };
-
-  explicit SweepApp(Knobs knobs) : knobs_(knobs) {}
-
-  [[nodiscard]] const rt::AppInfo& info() const override { return info_; }
-
-  void setup(rt::Runtime& runtime) override {
-    runtime.declareRegionCount(2);
-    data_ = rt::TrackedArray<std::int64_t>(runtime, "data", knobs_.cells, true);
-    sum_ = rt::TrackedScalar<std::int64_t>(runtime, "sum", true);
-  }
-
-  void initialize(rt::Runtime& runtime) override {
-    (void)runtime;
-    for (int i = 0; i < knobs_.cells; ++i) data_.set(i, 0);
-    sum_.set(0);
-  }
-
-  void iterate(rt::Runtime& runtime, int iteration) override {
-    {
-      rt::RegionScope region(runtime, 0);
-      if (knobs_.throwAtIteration > 0 && !runtime.direct() &&
-          iteration >= knobs_.throwAtIteration) {
-        throw std::runtime_error("sweep-app: induced failure");
-      }
-      for (int i = 0; i < knobs_.cells; ++i) data_.set(i, data_.get(i) + 1);
-      region.iterationEnd();
-    }
-    {
-      rt::RegionScope region(runtime, 1);
-      std::int64_t total = 0;
-      for (int i = 0; i < knobs_.cells; ++i) total += data_.get(i);
-      sum_.set(total);
-      region.iterationEnd();
-    }
-  }
-
-  [[nodiscard]] int nominalIterations() const override { return knobs_.iterations; }
-
-  [[nodiscard]] bool converged(rt::Runtime& runtime, int iteration) override {
-    (void)runtime;
-    return iteration >= knobs_.iterations;
-  }
-
-  [[nodiscard]] rt::VerifyOutcome verify(rt::Runtime& runtime) override {
-    (void)runtime;
-    rt::VerifyOutcome out;
-    std::int64_t total = 0;
-    for (int i = 0; i < knobs_.cells; ++i) total += data_.peek(i);
-    const auto expected =
-        static_cast<std::int64_t>(knobs_.iterations) * knobs_.cells;
-    out.metric = static_cast<double>(total);
-    out.pass = total == expected;
-    return out;
-  }
-
- private:
-  Knobs knobs_;
-  rt::AppInfo info_{"sweep-app", "sweep evaluator test app"};
-  rt::TrackedArray<std::int64_t> data_;
-  rt::TrackedScalar<std::int64_t> sum_;
-};
-
-rt::AppFactory sweepFactory(SweepApp::Knobs knobs) {
-  // The campaign's golden run is always the factory's first construction;
-  // it must complete for the campaign to start, so it never throws.
-  auto constructions = std::make_shared<std::atomic<int>>(0);
-  return [knobs, constructions] {
-    auto effective = knobs;
-    if (constructions->fetch_add(1) == 0) effective.throwAtIteration = 0;
-    return std::make_unique<SweepApp>(effective);
-  };
-}
+using sweep_app::SweepApp;
+using sweep_app::sweepFactory;
 
 cr::CampaignConfig tinyConfig(int tests) {
   cr::CampaignConfig config;
@@ -144,6 +63,12 @@ std::string campaignCsv(const cr::CampaignResult& campaign) {
 
 std::uint64_t counterValue(const char* name) {
   return tl::MetricsRegistry::instance().counter(name).value();
+}
+
+trial_oracle::Verdict oracle(SweepApp::Knobs knobs, const cr::CampaignConfig& config,
+                             const std::string& journal) {
+  return trial_oracle::decideCampaign(sweepFactory(knobs), config,
+                                      testing::TempDir() + journal);
 }
 
 }  // namespace
@@ -282,22 +207,22 @@ TEST(CaptureApiTest, ArmedCapturesDoNotPerturbTheRun) {
 // ---- Campaign-level equivalence ---------------------------------------------
 
 TEST(SweepTest, SweepOnMatchesSweepOffAcrossThreadCounts) {
+  // The sweep at one and four restart threads decides every trial as the
+  // per-trial oracle does.
   auto config = tinyConfig(40);
   config.resilience.isolate = true;
+  const auto reference = oracle({}, config, "sweep_threads_oracle.jsonl");
 
-  config.sweep = false;
-  const auto off = cr::CampaignRunner(sweepFactory({}), config).run();
-  EXPECT_TRUE(off.failures.empty());
-
-  config.sweep = true;
   const auto on1 = cr::CampaignRunner(sweepFactory({}), config).run();
   config.threads = 4;
   const auto on4 = cr::CampaignRunner(sweepFactory({}), config).run();
+  EXPECT_TRUE(on1.failures.empty());
+  EXPECT_TRUE(on4.failures.empty());
 
-  expectSameRecords(off, on1);
-  expectSameRecords(off, on4);
-  EXPECT_EQ(campaignCsv(off), campaignCsv(on1));
-  EXPECT_EQ(campaignCsv(off), campaignCsv(on4));
+  expectSameRecords(reference.result, on1);
+  expectSameRecords(reference.result, on4);
+  EXPECT_EQ(reference.csv, campaignCsv(on1));
+  EXPECT_EQ(reference.csv, campaignCsv(on4));
 }
 
 TEST(SweepTest, DuplicateCrashIndicesShareOneCaptureAndStayIdentical) {
@@ -308,16 +233,13 @@ TEST(SweepTest, DuplicateCrashIndicesShareOneCaptureAndStayIdentical) {
   knobs.iterations = 3;
   auto config = tinyConfig(200);
   config.resilience.isolate = true;
-
-  config.sweep = false;
-  const auto off = cr::CampaignRunner(sweepFactory(knobs), config).run();
+  const auto reference = oracle(knobs, config, "sweep_duplicates_oracle.jsonl");
 
   const auto runsBefore = counterValue("campaign.sweep_runs");
   const auto capturesBefore = counterValue("campaign.sweep_captures");
-  config.sweep = true;
   const auto on = cr::CampaignRunner(sweepFactory(knobs), config).run();
-  expectSameRecords(off, on);
-  EXPECT_EQ(campaignCsv(off), campaignCsv(on));
+  expectSameRecords(reference.result, on);
+  EXPECT_EQ(reference.csv, campaignCsv(on));
 
   std::set<std::uint64_t> distinct;
   for (const auto& record : on.tests) distinct.insert(record.crashAccessIndex);
@@ -330,43 +252,49 @@ TEST(SweepTest, DuplicateCrashIndicesShareOneCaptureAndStayIdentical) {
 }
 
 TEST(SweepTest, SweepRunFailureFallsBackToThePerTrialPath) {
-  // The app dies at iteration 3, so the sweep run can only capture crash
-  // points inside the first two iterations; everything later must fall back
-  // to the per-trial path and be recorded as the same trial failures the
-  // legacy mode produces.
+  // The app dies at iteration 3, so a sweep can only capture crash points
+  // inside the first two iterations. Each dead sweep is charged to its
+  // first uncaptured point, which (without retries) fails at once, and the
+  // tail is swept again: every sweep after the first dies immediately, one
+  // per failed point. The records and failures are the oracle's.
   SweepApp::Knobs knobs;
   knobs.throwAtIteration = 3;
   auto config = tinyConfig(30);
   config.resilience.isolate = true;
   config.resilience.maxRetries = 0;
+  const auto reference = oracle(knobs, config, "sweep_failure_oracle.jsonl");
 
-  config.sweep = false;
-  const auto off = cr::CampaignRunner(sweepFactory(knobs), config).run();
-
+  const auto runsBefore = counterValue("campaign.sweep_runs");
   const auto fallbacksBefore = counterValue("campaign.sweep_fallbacks");
-  config.sweep = true;
   const auto on = cr::CampaignRunner(sweepFactory(knobs), config).run();
 
-  ASSERT_GT(off.failures.size(), 0u) << "expected late crash points to fail";
-  ASSERT_GT(off.tests.size(), 0u) << "expected early crash points to complete";
-  expectSameRecords(off, on);
-  ASSERT_EQ(on.failures.size(), off.failures.size());
-  for (std::size_t i = 0; i < off.failures.size(); ++i) {
-    EXPECT_EQ(on.failures[i].trial, off.failures[i].trial);
-    EXPECT_EQ(on.failures[i].reason, off.failures[i].reason);
-    EXPECT_EQ(on.failures[i].regionPath, off.failures[i].regionPath);
+  ASSERT_GT(reference.result.failures.size(), 0u) << "expected late points to fail";
+  ASSERT_GT(reference.result.tests.size(), 0u) << "expected early points to complete";
+  expectSameRecords(reference.result, on);
+  ASSERT_EQ(on.failures.size(), reference.result.failures.size());
+  std::set<std::uint64_t> failedPoints;
+  for (std::size_t i = 0; i < on.failures.size(); ++i) {
+    const auto& want = reference.result.failures[i];
+    EXPECT_EQ(on.failures[i].trial, want.trial);
+    EXPECT_EQ(on.failures[i].crashAccessIndex, want.crashAccessIndex);
+    EXPECT_EQ(on.failures[i].kind, want.kind);
+    EXPECT_EQ(on.failures[i].reason, want.reason);
+    EXPECT_EQ(on.failures[i].regionPath, want.regionPath);
+    EXPECT_EQ(on.failures[i].attempts, want.attempts);
+    failedPoints.insert(want.crashAccessIndex);
   }
-  EXPECT_GT(counterValue("campaign.sweep_fallbacks") - fallbacksBefore, 0u);
+  const auto fallbacks = counterValue("campaign.sweep_fallbacks") - fallbacksBefore;
+  EXPECT_EQ(fallbacks, failedPoints.size());
+  EXPECT_EQ(counterValue("campaign.sweep_runs") - runsBefore, fallbacks);
 }
 
 TEST(SweepTest, ThrowBeforeArmedCrashStillNamesTheCrashSite) {
-  // Regression: the crashing run re-zeroed the record, so a trial that threw
-  // before its armed crash fired reported regionPath "main" instead of the
-  // region stack the run actually stood in when it died.
+  // Regression: a crashing run that threw before its armed crash fired
+  // reported regionPath "main" instead of the region stack the run actually
+  // stood in when it died. The sweep's throw-site path names it.
   SweepApp::Knobs knobs;
   knobs.throwAtIteration = 2;
   auto config = tinyConfig(20);
-  config.sweep = false;
   config.resilience.isolate = true;
   config.resilience.maxRetries = 0;
 

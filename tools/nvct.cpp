@@ -21,9 +21,9 @@
 //   nvct report --journal mg.jsonl --trace mg_trace.jsonl
 //        --metrics mg_metrics.json --out mg_report.md
 //
-// Performance (docs/INTERNALS.md): by default one sweep run captures every
-// pending crash point and the restarts pipeline behind it (--sweep off
-// restores the one-crashing-run-per-trial path; results are byte-identical),
+// Performance (docs/INTERNALS.md): one sweep run captures every pending
+// crash point and the restarts pipeline behind it (a sweep that dies is
+// charged to its first uncaptured crash point and the rest is swept again),
 // the apps' range accesses take the block-granular bulk path (--bulk off
 // restores the per-element scalar path; results are byte-identical), and the
 // post-mortem inconsistency scan walks a dirty-block index with a vectorized
@@ -207,10 +207,6 @@ int main(int argc, char** argv) {
                 "points but executes only the trials with index % k == i; "
                 "fold the k shard journals with `nvct merge` — the merged "
                 "journal/CSV/report are byte-identical to the unsharded run");
-  cli.addString("sweep", "on",
-                "single-sweep evaluator: capture every crash point in one "
-                "crashing run and pipeline the restarts (on|off; off = the "
-                "per-trial path, byte-identical results)");
   cli.addString("bulk", "on",
                 "block-granular bulk path for the apps' range accesses "
                 "(on|off; off = per-element scalar path, byte-identical "
@@ -347,12 +343,6 @@ int main(int argc, char** argv) {
     } else if (mode != "nvm") {
       throw std::runtime_error("--mode must be 'nvm' or 'coherent'");
     }
-    const std::string sweep = cli.getString("sweep");
-    if (sweep == "off") {
-      config.sweep = false;
-    } else if (sweep != "on") {
-      throw std::runtime_error("--sweep must be 'on' or 'off'");
-    }
     const std::string bulk = cli.getString("bulk");
     if (bulk == "off") {
       config.bulk = false;
@@ -431,9 +421,13 @@ int main(int argc, char** argv) {
         throw std::runtime_error(
             "--inject kind must be segv|wild-write|oom|hang");
       }
+      // std::stoull accepts a sign and leading blanks, and wraps "-1" to
+      // 2^64-1, an access no run reaches: the index must start with a digit.
       std::size_t used = 0;
       const std::string idx = inject.substr(colon + 1);
-      config.inject.accessIndex = std::stoull(idx, &used);
+      if (idx[0] >= '0' && idx[0] <= '9') {
+        config.inject.accessIndex = std::stoull(idx, &used);
+      }
       if (used != idx.size() || config.inject.accessIndex == 0) {
         throw std::runtime_error("--inject access index must be a positive "
                                  "integer");
