@@ -77,12 +77,15 @@ CampaignMetrics& CampaignMetrics::get() {
       reg.counter("campaign.sweep_runs"),
       reg.counter("campaign.sweep_captures"),
       reg.counter("campaign.sweep_fallbacks"),
+      reg.counter("campaign.golden_fallbacks"),
       reg.counter("campaign.worker_spawns"),
       reg.counter("campaign.worker_crashes"),
       reg.counter("campaign.worker_kills"),
       reg.counter("campaign.worker_respawns"),
       reg.histogram("campaign.retry_backoff_ms",
                     telemetry::Histogram::exponentialBounds(1.0, 2.0, 12)),
+      reg.histogram("campaign.golden_us",
+                    telemetry::Histogram::exponentialBounds(100.0, 4.0, 12)),
       reg.histogram("campaign.crash_run_us",
                     telemetry::Histogram::exponentialBounds(50.0, 4.0, 12)),
       reg.histogram("campaign.postmortem_us",
@@ -429,10 +432,17 @@ void CampaignRunner::armProfile(Runtime& rt) const {
 }
 
 void CampaignRunner::noteRun(const Runtime& rt) const {
-  CampaignMetrics::get().recordRun(rt.events());
-  if (!config_.profile || !rt.profiling()) return;
+  CampaignProfile run;
+  if (config_.profile) run.accumulate(rt);
+  noteShare(rt.events(), run);
+}
+
+void CampaignRunner::noteShare(const memsim::MemEvents& events,
+                               const CampaignProfile& profile) const {
+  CampaignMetrics::get().recordRun(events);
+  if (profile.empty()) return;
   std::lock_guard<std::mutex> lock(profileMutex_);
-  profile_.accumulate(rt);
+  profile_.merge(profile);
 }
 
 void CampaignRunner::commitTrial(std::size_t trial, const CrashTestRecord& record,
@@ -455,17 +465,16 @@ void CampaignRunner::commitTrial(std::size_t trial, const CrashTestRecord& recor
   }
 }
 
-GoldenStats CampaignRunner::goldenRun(memsim::RegionMonitor* monitor) const {
+GoldenStats CampaignRunner::goldenRun(memsim::RegionMonitor* monitor,
+                                      bool native) const {
   Runtime rt(config_.cache);
-  // Sampled monitoring folds the golden run and the monitoring pre-pass into
-  // ONE direct-mode run: the monitor samples the access stream, which is
-  // identical whether or not the cache hierarchy simulates it, and every
-  // golden output the campaign depends on (windowAccesses and with it the
-  // pre-drawn crash sequence, finalIteration, verify metric, region shares)
-  // is a function of the access stream and the architectural values — both
-  // routing-independent. Skipping the cache simulation here is the bulk of
-  // the sampled mode's large-footprint win.
-  if (monitor != nullptr && !config_.monitor.trackedGolden) rt.setDirect(true);
+  // Every golden output the campaign depends on (windowAccesses and with it
+  // the pre-drawn crash sequence, finalIteration, the trajectory, the verify
+  // outcome, region shares) is a function of the access stream and the
+  // architectural values, both routing-independent, so a native run
+  // produces them without the cache simulation. Under sampled monitoring the
+  // monitor rides the same run and samples the same stream.
+  rt.setDirect(native);
   rt.setBulk(config_.bulk);
   rt.setScan(config_.scan);
   rt.setPlan(config_.plan);
@@ -473,12 +482,12 @@ GoldenStats CampaignRunner::goldenRun(memsim::RegionMonitor* monitor) const {
   // Installed before setup so the apps' setup-phase writes are sampled too —
   // a candidate written only during setup must not look dead.
   if (monitor != nullptr) rt.setMonitor(monitor);
-  armProfile(rt);
+  if (!native) armProfile(rt);
   auto app = factory_();
   GoldenStats golden;
   const auto result = Driver::freshRun(*app, rt, 0, &golden.trajectory);
   rt.setMonitor(nullptr);
-  noteRun(rt);
+  if (!native) noteRun(rt);
   EC_CHECK_MSG(!result.interrupted, "golden run interrupted: " + result.interruptReason);
   EC_CHECK_MSG(result.verification.pass,
                "golden run failed its own acceptance verification (" +
@@ -621,8 +630,8 @@ class InProcessExecutor final : public TrialExecutor {
     return runner_.runRestart(golden_, capture, t, deadline.cancel, record);
   }
 
-  bool sweep(const SweepPlan& plan, int slot, const OnCapture& onCapture,
-             std::string& throwSite) override {
+  SweepOutcome sweep(const SweepPlan& plan, int slot, const OnCapture& onCapture,
+                     std::string& throwSite) override {
     const Deadline deadline(watchdog_, slot, 1.0);
     return runner_.sweepRun(
         golden_, plan, deadline.cancel,
@@ -671,7 +680,9 @@ CampaignResult CampaignRunner::run() const {
     event.field("tests", config_.numTests)
         .field("seed", config_.seed)
         .field("mode", config_.mode == SnapshotMode::NvmImage ? "nvm" : "coherent")
-        .field("plan_points", static_cast<std::uint64_t>(config_.plan.points.size()));
+        .field("plan_points", static_cast<std::uint64_t>(config_.plan.points.size()))
+        .field("monitor",
+               config_.monitor.mode == MonitorMode::Full ? "full" : "sampled");
     if (config_.shard.active()) {
       event.field("shard", config_.shard.index).field("shards", config_.shard.count);
     }
@@ -710,11 +721,23 @@ CampaignResult CampaignRunner::run() const {
     monitor.emplace(monitorConfig);
   }
 
-  const auto goldenStart = std::chrono::steady_clock::now();
-  result.golden = goldenRun(monitor ? &*monitor : nullptr);
-  const auto goldenMs = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            std::chrono::steady_clock::now() - goldenStart)
-                            .count();
+  // Full monitoring: the golden run goes native and the sweep, running on to
+  // the golden final iteration, supplies its cache-simulated share (events,
+  // profile, memsim.* counters) — one simulated pass per campaign. Sampled
+  // monitoring routes the sweep through demotion, so there the golden run
+  // keeps its own MemEvents: native (direct-run, empty) unless trackedGolden.
+  const bool fullMonitor = config_.monitor.mode == MonitorMode::Full;
+  const bool nativeGolden = fullMonitor || !config_.monitor.trackedGolden;
+  std::uint64_t goldenUs = 0;
+  {
+    telemetry::PhaseSpan goldenSpan("golden", CampaignMetrics::get().goldenUs);
+    const auto goldenStart = std::chrono::steady_clock::now();
+    result.golden = goldenRun(monitor ? &*monitor : nullptr, nativeGolden);
+    goldenUs = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - goldenStart)
+            .count());
+  }
   EC_CHECK_MSG(result.golden.windowAccesses > 0, "empty crash window");
 
   if (monitor) buildMonitorSummary(*monitor, result.golden);
@@ -888,21 +911,9 @@ CampaignResult CampaignRunner::run() const {
   // of work, which is what the sweep owes; each restart scales it by its
   // expected work (restartBudget below), so the deadline tracks what the
   // restart actually owes instead of assuming the worst case for every draw.
-  std::uint64_t timeoutMs = 0;
-  if (res.isolate && (res.trialTimeoutMs > 0 || res.goldenTimeoutMultiple > 0)) {
-    // Under sampled monitoring the golden run is direct-mode and several
-    // times cheaper than the tracked crashing runs the deadline must cover;
-    // scale the base so --timeout-golden-multiple keeps its tracked-golden
-    // meaning.
-    const double timeoutBaseMs =
-        static_cast<double>(goldenMs) *
-        (monitor && !config_.monitor.trackedGolden ? 10.0 : 1.0);
-    timeoutMs = res.trialTimeoutMs > 0
-                    ? res.trialTimeoutMs
-                    : std::max<std::uint64_t>(
-                          1000, static_cast<std::uint64_t>(
-                                    timeoutBaseMs * res.goldenTimeoutMultiple));
-  }
+  // A native golden run is several times cheaper than the simulated runs
+  // the deadline must cover, so trialDeadlineMs scales it back up.
+  const std::uint64_t timeoutMs = trialDeadlineMs(res, goldenUs, nativeGolden);
 
   // The trial executor — the one place the isolation mode is named. The
   // fork executor forks its workers here, AFTER the golden run and the sweep
@@ -1118,14 +1129,19 @@ CampaignResult CampaignRunner::run() const {
 
   // --- The sweep ----------------------------------------------------------
   // ONE crashing run visits every pending crash point in ascending order and
-  // captures it read-only; a real CrashEvent armed at the last index ends
-  // the run without simulating the tail. Restarts are consumed concurrently
-  // by the restart workers, overlapping with the sweep itself.
+  // captures it read-only. Under full monitoring it then runs on to the
+  // golden final iteration and hands back the golden share; under sampled
+  // monitoring a real CrashEvent armed at the last index ends it. Restarts
+  // are consumed concurrently by the restart workers, overlapping with the
+  // sweep itself.
   //
   // A sweep that dies is one failed attempt of the first crash point it had
   // not captured: that point's own crashing run executes the same accesses,
   // so it would die the same way. Once the point's retries are spent, its
   // trials become failures; either way the rest of the plan is swept again.
+  // A sweep that dies after its last capture owes no trial anything; only
+  // the golden share is lost, and the fallback below makes it up.
+  std::optional<memsim::MemEvents> goldenShare;
   const auto produceSweep = [&](int slot) {
     const int maxAttempts = 1 + std::max(0, res.maxRetries);
     int attempts = 0;  // dead sweeps charged to sweepPlan's first point
@@ -1133,12 +1149,12 @@ CampaignResult CampaignRunner::run() const {
       CampaignMetrics::get().sweepRuns.add();
       const std::size_t planned = sweepPlan.size();
       auto pending = sweepPlan.cbegin();
-      bool completed = false;
+      SweepOutcome outcome;
       bool died = false;
       TrialFailure failure;
       std::string throwSite;
       try {
-        completed = executor->sweep(
+        outcome = executor->sweep(
             sweepPlan, slot,
             [&](std::shared_ptr<const SweepCapture> capture) {
               EC_CHECK_MSG(pending != sweepPlan.cend() &&
@@ -1152,7 +1168,8 @@ CampaignResult CampaignRunner::run() const {
               return !halted();
             },
             throwSite);
-        EC_CHECK_MSG(completed || halted(), "sweep ended before its last crash point");
+        EC_CHECK_MSG(outcome.captured || halted(),
+                     "sweep ended before its last crash point");
       } catch (...) {
         if (!res.isolate) throw;
         describeFailure(failure, throwSite, timeoutMs);
@@ -1165,11 +1182,17 @@ CampaignResult CampaignRunner::run() const {
             .field("run", "sweep")
             .field("captures", static_cast<std::uint64_t>(captured))
             .field("planned", static_cast<std::uint64_t>(planned))
-            .field("completed", completed)
+            .field("completed", outcome.captured)
+            .field("golden_share", outcome.golden.has_value())
             .emit();
       }
+      if (outcome.golden) goldenShare = outcome.golden;
       if (captured > 0) attempts = 0;
       sweepPlan.erase(sweepPlan.cbegin(), pending);
+      if (died && sweepPlan.empty()) {
+        EC_LOG_WARN("sweep run died after its last capture (" << failure.reason
+                    << "); no trial is charged");
+      }
       if (!died || sweepPlan.empty()) continue;
 
       CampaignMetrics::get().sweepFallbacks.add();
@@ -1243,6 +1266,26 @@ CampaignResult CampaignRunner::run() const {
     }
   }
 
+  if (goldenShare) {
+    result.golden.events = *goldenShare;
+  } else if (fullMonitor && !result.interrupted) {
+    // No sweep ran on to the end: a fully resumed journal, a shard with
+    // nothing to sweep, or a death after the last capture. The simulated
+    // golden run supplies its own share, accounted like a sweep's. An
+    // interrupted campaign skips it: nothing reads an interrupted
+    // campaign's golden events (the workflow returns at the interruption).
+    CampaignMetrics::get().goldenFallbacks.add();
+    EC_LOG_INFO("no sweep reached the golden final iteration; "
+                "running the simulated golden run");
+    telemetry::PhaseSpan goldenSpan("golden", CampaignMetrics::get().goldenUs);
+    const GoldenStats simulated = goldenRun(nullptr, false);
+    EC_CHECK_MSG(simulated.windowAccesses == result.golden.windowAccesses &&
+                     simulated.finalIteration == result.golden.finalIteration,
+                 "simulated golden run diverged from the native one — "
+                 "app is non-deterministic");
+    result.golden.events = simulated.events;
+  }
+
   result.resumedTrials = resumedTrials;
   for (std::size_t t = 0; t < n; ++t) {
     if (records[t]) {
@@ -1303,10 +1346,10 @@ SweepCapture CampaignRunner::capturePostmortem(const Runtime& rt, const CrashEve
   return capture;
 }
 
-bool CampaignRunner::sweepRun(const GoldenStats& golden, const SweepPlan& plan,
-                              const std::atomic<bool>* cancel,
-                              const std::function<bool(SweepCapture&&)>& onCapture,
-                              std::string& throwSite) const {
+SweepOutcome CampaignRunner::sweepRun(const GoldenStats& golden, const SweepPlan& plan,
+                                      const std::atomic<bool>* cancel,
+                                      const std::function<bool(SweepCapture&&)>& onCapture,
+                                      std::string& throwSite) const {
   Runtime rt(config_.cache);
   rt.setBulk(config_.bulk);
   rt.setScan(config_.scan);
@@ -1315,8 +1358,17 @@ bool CampaignRunner::sweepRun(const GoldenStats& golden, const SweepPlan& plan,
   rt.setCancelFlag(cancel);
   rt.setTraceRun("sweep");
   armProfile(rt);
+  // Under full monitoring the run goes on past its last capture: the rest of
+  // it is the golden run, cache-simulated, and captures only read. Under
+  // sampled monitoring the demoted objects never enter the caches, so the
+  // tail would describe no golden run and a crash ends the sweep instead.
+  const bool toEnd = config_.monitor.mode == MonitorMode::Full;
+  SweepOutcome outcome;
   std::size_t captured = 0;
-  bool completed = false;
+  // The sweep's own share: the run up to its last capture, as a run that
+  // crashed there would have accounted it.
+  memsim::MemEvents sweepEvents;
+  CampaignProfile sweepProfile;
   try {
     // One span covers the whole sweep crashing run; each capture's
     // post-mortem gets its own span, stamped with the first trial sharing it.
@@ -1327,7 +1379,7 @@ bool CampaignRunner::sweepRun(const GoldenStats& golden, const SweepPlan& plan,
     auto app = factory_();
     app->setup(rt);
     app->initialize(rt);
-    rt.armCrash(indices.back());
+    if (!toEnd) rt.armCrash(indices.back());
     armWorkerFault(rt);
     auto pending = plan.cbegin();
     rt.armCaptures(std::move(indices), [&](const CrashEvent& at) {
@@ -1342,28 +1394,56 @@ bool CampaignRunner::sweepRun(const GoldenStats& golden, const SweepPlan& plan,
             .field("trials", static_cast<std::uint64_t>(trials.size()))
             .emit();
       }
-      ++captured;
+      if (++captured == plan.size()) {
+        sweepEvents = rt.events();
+        if (config_.profile) sweepProfile.accumulate(rt);
+      }
       if (!onCapture(std::move(capture))) throw SweepAbort{};
     });
-    (void)Driver::run(*app, rt, 1, golden.finalIteration);
-    EC_CHECK_MSG(false, "armed crash did not fire — app is non-deterministic");
+    const auto run = Driver::run(*app, rt, 1, golden.finalIteration);
+    EC_CHECK_MSG(toEnd, "armed crash did not fire — app is non-deterministic");
+    EC_CHECK_MSG(captured == plan.size() && !run.interrupted &&
+                     run.finalIteration == golden.finalIteration &&
+                     rt.windowAccesses() == golden.windowAccesses,
+                 "sweep did not end where the golden run did — app is "
+                 "non-deterministic");
+    outcome.captured = true;
   } catch (const CrashEvent&) {
-    // The arranged end of the sweep: the last pending index was captured on
-    // this very access, then the crash fired.
-    completed = captured == plan.size();
+    // Sampled monitoring's arranged end: the last pending index was captured
+    // on this very access, then the crash fired.
+    outcome.captured = captured == plan.size();
   } catch (const SweepAbort&) {
     // Stop requested or the restart pipeline went away; not an error.
   } catch (...) {
-    // The run died before its last crash point. The live stack is already
-    // unwound, so the runtime's throw-site snapshot names where.
+    // The run died. The live stack is already unwound, so the runtime's
+    // throw-site snapshot names where. Past the last capture the sweep's
+    // share is complete and the golden share lost.
     throwSite = formatRegionPath(rt.throwRegionPath());
     rt.powerLoss();
-    noteRun(rt);
+    if (captured == plan.size()) {
+      noteShare(sweepEvents, sweepProfile);
+    } else {
+      noteRun(rt);
+    }
     throw;
   }
-  rt.powerLoss();
-  noteRun(rt);
-  return completed;
+  if (!outcome.captured || !toEnd) {
+    rt.powerLoss();
+    noteRun(rt);
+    return outcome;
+  }
+  // The golden share: the whole run, less what the captures' post-mortems
+  // added (a golden run performs none).
+  memsim::MemEvents share = rt.events();
+  share.postmortemBlocksSkipped = 0;
+  share.postmortemBlocksCompared = 0;
+  share.postmortemBytesCompared = 0;
+  CampaignProfile goldenProfile;
+  if (config_.profile) goldenProfile.accumulate(rt);
+  noteShare(sweepEvents, sweepProfile);
+  noteShare(share, goldenProfile);
+  outcome.golden = share;
+  return outcome;
 }
 
 int CampaignRunner::runRestart(const GoldenStats& golden, const SweepCapture& capture,

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -50,8 +51,8 @@ namespace {
 //                                   record + rejoin iteration |
 //                                   reason + region path}
 //                               'c' one streamed sweep capture (await ack)
-//                               'e' sweep end {accounting, completed, error,
-//                                   region path}
+//                               'e' sweep end {accounting, completed,
+//                                   golden share?, error, region path}
 // Integers are little-endian; snapshot payloads ride the slot's shared
 // arena when they fit (the common case — the arena is sized off the app's
 // candidate bytes) and fall back to inline frame bytes when they don't.
@@ -291,6 +292,41 @@ SweepCapture decodeCapture(WireReader& r, const std::uint8_t* arena,
     }
   }
   return c;
+}
+
+/// An optional MemEvents: a presence byte, then every counter.
+void encodeEvents(WireWriter& w, const std::optional<memsim::MemEvents>& events) {
+  w.u8(events ? 1 : 0);
+  if (!events) return;
+  const memsim::MemEvents& e = *events;
+  w.u64(e.loads);
+  w.u64(e.stores);
+  for (const std::uint64_t v : e.hits) w.u64(v);
+  for (const std::uint64_t v : e.misses) w.u64(v);
+  for (const std::uint64_t v :
+       {e.nvmBlockReads, e.nvmBlockWrites, e.flushDirty, e.flushClean,
+        e.flushNonResident, e.flushInducedNvmWrites, e.rangeLoads, e.rangeStores,
+        e.rangeSplitBlocks, e.postmortemBlocksSkipped, e.postmortemBlocksCompared,
+        e.postmortemBytesCompared}) {
+    w.u64(v);
+  }
+}
+
+std::optional<memsim::MemEvents> decodeEvents(WireReader& r) {
+  if (r.u8() == 0) return std::nullopt;
+  memsim::MemEvents e;
+  e.loads = r.u64();
+  e.stores = r.u64();
+  for (std::uint64_t& v : e.hits) v = r.u64();
+  for (std::uint64_t& v : e.misses) v = r.u64();
+  for (std::uint64_t* v :
+       {&e.nvmBlockReads, &e.nvmBlockWrites, &e.flushDirty, &e.flushClean,
+        &e.flushNonResident, &e.flushInducedNvmWrites, &e.rangeLoads, &e.rangeStores,
+        &e.rangeSplitBlocks, &e.postmortemBlocksSkipped, &e.postmortemBlocksCompared,
+        &e.postmortemBytesCompared}) {
+    *v = r.u64();
+  }
+  return e;
 }
 
 void encodePlan(WireWriter& w, const SweepPlan& plan) {
@@ -539,16 +575,16 @@ class ForkExecutor final : public TrialExecutor {
   /// backpressure the in-process sweep gets from blocking in onCapture. A
   /// run that threw in the worker comes back as an 'e' error with its
   /// throw-site path, an AttemptFailure like a failed restart's.
-  bool sweep(const SweepPlan& plan, int slot, const OnCapture& onCapture,
-             std::string& throwSite) override {
+  SweepOutcome sweep(const SweepPlan& plan, int slot, const OnCapture& onCapture,
+                     std::string& throwSite) override {
     WireWriter req;
     req.u8('S');
     encodePlan(req, plan);
     for (std::string frame = roundTrip(slot, req.take(), 1.0);;
          frame = receive(slot, 1.0)) {
       std::string error;
-      const std::optional<bool> completed =
-          decode(slot, frame, [&](WireReader& r) -> std::optional<bool> {
+      const std::optional<SweepOutcome> outcome =
+          decode(slot, frame, [&](WireReader& r) -> std::optional<SweepOutcome> {
             const std::uint8_t tag = r.u8();
             if (tag == 'c') {
               const bool more = onCapture(std::make_shared<const SweepCapture>(
@@ -558,13 +594,15 @@ class ForkExecutor final : public TrialExecutor {
             }
             if (tag != 'e') throw std::runtime_error("unexpected sweep frame tag");
             applyAccounting(r, runner_.profile_, runner_.profileMutex_);
-            const bool all = r.u8() != 0;
+            SweepOutcome end;
+            end.captured = r.u8() != 0;
+            end.golden = decodeEvents(r);
             error = r.str();
             throwSite = r.str();
-            return all;
+            return end;
           });
       if (!error.empty()) throw AttemptFailure{"exception", false, error, throwSite};
-      if (completed) return *completed;
+      if (outcome) return *outcome;
     }
   }
 
@@ -757,16 +795,17 @@ class ForkExecutor final : public TrialExecutor {
   }
 
   /// The sweep crashing run: each capture streams as a 'c' frame and waits
-  /// for the parent's ack; the 'e' reply closes it. A run that throws is
-  /// reported in 'e', with the region path it died in, for the parent to
-  /// charge to the first uncaptured crash point.
+  /// for the parent's ack; the 'e' reply closes it, with the golden share
+  /// when the run went on to the end. A run that throws is reported in 'e',
+  /// with the region path it died in, for the parent to charge to the first
+  /// uncaptured crash point.
   void replySweep(WireWriter& resp, const SweepPlan& plan,
                   const WorkerPool::ChildChannel& ch) {
-    bool completed = false;
+    SweepOutcome outcome;
     std::string error;
     std::string throwSite;
     try {
-      completed = runner_.sweepRun(
+      outcome = runner_.sweepRun(
           golden_, plan, nullptr,
           [&](SweepCapture&& capture) {
             WireWriter frame;
@@ -784,7 +823,8 @@ class ForkExecutor final : public TrialExecutor {
     }
     resp.u8('e');
     encodeAccounting(resp, runner_.profile_);
-    resp.u8(completed ? 1 : 0);
+    resp.u8(outcome.captured ? 1 : 0);
+    encodeEvents(resp, outcome.golden);
     resp.str(error);
     resp.str(throwSite);
   }

@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -81,6 +82,8 @@ struct MonitorConfig {
   /// The workflow's Equation-5 time model consumes golden.events, so the
   /// four-step workflow opts in; single campaigns default to the fast
   /// direct-mode golden (that is where the large-footprint win comes from).
+  /// Sampled mode only: under full monitoring the golden run is always
+  /// native and the sweep supplies its cache-simulated share.
   bool trackedGolden = false;
 };
 
@@ -277,7 +280,10 @@ struct CampaignConfig {
   FaultPlan inject;
 };
 
-/// Statistics of the golden (crash-free) execution.
+/// Statistics of the golden (crash-free) execution. Inside
+/// CampaignRunner::run() under full monitoring the golden run is native and
+/// `events` is the golden share of the sweep, which runs on to the golden
+/// final iteration (docs/INTERNALS.md "The golden run").
 struct GoldenStats {
   std::uint64_t windowAccesses = 0;  ///< tracked accesses in the crash window
   int finalIteration = 0;
@@ -381,6 +387,15 @@ struct CampaignResult {
 /// that drew it, ascending. Trials sharing an index share one capture.
 using SweepPlan = std::map<std::uint64_t, std::vector<std::size_t>>;
 
+/// How one sweep crashing run ended.
+struct SweepOutcome {
+  bool captured = false;  ///< every crash point of the plan was captured
+  /// Full monitoring: the run went on past its last capture to the golden
+  /// final iteration and verify, and these are its MemEvents there with the
+  /// post-mortem scan counters zeroed: the golden run's simulated share.
+  std::optional<memsim::MemEvents> golden;
+};
+
 class InProcessExecutor;
 class ForkExecutor;
 
@@ -390,8 +405,9 @@ class CampaignRunner {
  public:
   CampaignRunner(runtime::AppFactory factory, CampaignConfig config);
 
-  /// Golden run only (fast; used for Table 1 characteristics).
-  [[nodiscard]] GoldenStats goldenRun() const { return goldenRun(nullptr); }
+  /// Golden run only, cache-simulated (Table 1 characteristics; the
+  /// reference run() folds its golden share against).
+  [[nodiscard]] GoldenStats goldenRun() const { return goldenRun(nullptr, false); }
 
   /// Full campaign: golden run + numTests crash tests.
   [[nodiscard]] CampaignResult run() const;
@@ -414,14 +430,18 @@ class CampaignRunner {
 
   /// The single sweep crashing run: captures every index of `plan` in
   /// ascending order and hands each capture to `onCapture` (false ends the
-  /// run early). True iff every index was captured and the armed crash at
-  /// the last one fired. Any other failure propagates after the run has been
-  /// accounted (noteRun), with the formatted region path the run died in
-  /// left in `throwSite`.
-  bool sweepRun(const GoldenStats& golden, const SweepPlan& plan,
-                const std::atomic<bool>* cancel,
-                const std::function<bool(SweepCapture&&)>& onCapture,
-                std::string& throwSite) const;
+  /// run early). Under full monitoring it then runs on to the golden final
+  /// iteration and verify, checks that it ended where the golden run did,
+  /// and accounts two shares: the run up to its last capture (the sweep's)
+  /// and the whole run without the post-mortem counters (the golden run's,
+  /// also returned). Under sampled monitoring a crash armed at the last
+  /// index ends the run. A failure propagates after the run has been
+  /// accounted, with the formatted region path the run died in left in
+  /// `throwSite`; past the last capture only the sweep's share is.
+  SweepOutcome sweepRun(const GoldenStats& golden, const SweepPlan& plan,
+                        const std::atomic<bool>* cancel,
+                        const std::function<bool(SweepCapture&&)>& onCapture,
+                        std::string& throwSite) const;
 
   /// NVCT post-mortem at a crash instant: rates and snapshots of every
   /// candidate plus the restart iteration, under a `postmortem` span.
@@ -438,6 +458,8 @@ class CampaignRunner {
   /// Inside a fork worker both land in the worker's registry and profile_,
   /// which every reply ships to the parent.
   void noteRun(const runtime::Runtime& rt) const;
+  /// Account one share of a run, as noteRun accounts a whole one.
+  void noteShare(const memsim::MemEvents& events, const CampaignProfile& profile) const;
 
   /// Parent-side completion bookkeeping of one decided trial: campaign
   /// counters (trials, S1-S4 responses) and the trial_end trace event, which
@@ -449,15 +471,15 @@ class CampaignRunner {
                    int rejoinedAt) const;
 
   /// Golden run with an optional adaptive region monitor riding the access
-  /// stream. With a monitor installed and monitor.trackedGolden unset, the
-  /// run goes direct-mode: the monitor observes the same access sequence
-  /// either way (sampling is stream-based, not cache-based), so the golden
-  /// outputs the campaign depends on — windowAccesses, finalIteration, the
-  /// verify metric, region shares — are identical, while the run itself
+  /// stream. A `native` run goes direct-mode: the access stream, and with it
+  /// every golden output the campaign depends on — windowAccesses,
+  /// finalIteration, the trajectory, the verify outcome, persistenceOps,
+  /// region shares and iteration ends — is identical, while the run itself
   /// costs O(accesses) instead of O(accesses x cache simulation). Only
   /// MemEvents and the per-block access/wear profile, which describe the
-  /// cache machine, are (near-empty) direct-run values then.
-  [[nodiscard]] GoldenStats goldenRun(memsim::RegionMonitor* monitor) const;
+  /// cache machine, are empty then; a native run is neither profiled nor
+  /// accounted.
+  [[nodiscard]] GoldenStats goldenRun(memsim::RegionMonitor* monitor, bool native) const;
 
   /// Sampled mode only: digest the monitor that rode the golden run into
   /// monitorState_ — per-object region stats, the sampled activity ranking,

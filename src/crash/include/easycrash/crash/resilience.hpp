@@ -237,6 +237,21 @@ struct JournalReplay {
                                            std::uint64_t seed,
                                            std::size_t trial, int attempt);
 
+// ---- Watchdog deadline ---------------------------------------------------------
+
+/// How many times cheaper a native golden run is than the cache-simulated
+/// runs a trial deadline must cover. A golden-run multiple is meant against
+/// a simulated golden run; a native one is 4-24x faster on the bundled apps.
+inline constexpr double kNativeGoldenFactor = 10.0;
+
+/// The per-trial watchdog deadline base in ms (0 = no watchdog): an explicit
+/// trialTimeoutMs wins; otherwise max(1 s, golden run time x
+/// goldenTimeoutMultiple), with the golden run time taken in microseconds
+/// and scaled by kNativeGoldenFactor when the golden run went native. Only
+/// isolated campaigns have a watchdog.
+[[nodiscard]] std::uint64_t trialDeadlineMs(const ResilienceConfig& res,
+                                            std::uint64_t goldenUs, bool nativeGolden);
+
 // ---- Atomic file replacement -------------------------------------------------
 
 /// Replace `path` with `content` atomically: write `<path>.tmp`, fsync,

@@ -467,6 +467,17 @@ std::uint64_t retryBackoffMs(const ResilienceConfig& res, std::uint64_t seed,
   return std::min(backoff + jitter, cap);
 }
 
+std::uint64_t trialDeadlineMs(const ResilienceConfig& res, std::uint64_t goldenUs,
+                              bool nativeGolden) {
+  if (!res.isolate) return 0;
+  if (res.trialTimeoutMs > 0) return res.trialTimeoutMs;
+  if (res.goldenTimeoutMultiple <= 0) return 0;
+  const double baseMs = static_cast<double>(goldenUs) / 1000.0 *
+                        (nativeGolden ? kNativeGoldenFactor : 1.0);
+  return std::max<std::uint64_t>(
+      1000, static_cast<std::uint64_t>(baseMs * res.goldenTimeoutMultiple));
+}
+
 std::uint64_t planFingerprint(const runtime::PersistencePlan& plan) {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
   const auto mix = [&h](std::uint64_t v) {

@@ -32,8 +32,9 @@ struct CampaignStatus;
 
 /// The campaign's registry instruments. The memsim.* counters mirror the
 /// MemEvents fields, accumulated over every run a campaign simulates (the
-/// golden run and the sweep crashing runs; direct-mode restarts add
-/// nothing), so a metrics snapshot correlates 1:1 with Table 4.
+/// golden share and the sweep crashing runs; native golden runs and
+/// direct-mode restarts add nothing), so a metrics snapshot correlates 1:1
+/// with Table 4.
 struct CampaignMetrics {
   telemetry::Counter& loads;
   telemetry::Counter& stores;
@@ -73,6 +74,9 @@ struct CampaignMetrics {
   telemetry::Counter& sweepRuns;
   telemetry::Counter& sweepCaptures;
   telemetry::Counter& sweepFallbacks;
+  /// Campaigns whose golden share came from a simulated golden run after
+  /// the drain, because no sweep ran on to the end.
+  telemetry::Counter& goldenFallbacks;
   /// Fork executor: worker forks (initial + respawns), deaths the campaign
   /// consumed (split kill vs crash/oom/protocol), and respawns alone.
   telemetry::Counter& workerSpawns;
@@ -81,8 +85,10 @@ struct CampaignMetrics {
   telemetry::Counter& workerRespawns;
   /// Backoff slept between trial retries (resilience.retryBackoffMs).
   telemetry::Histogram& retryBackoff;
-  /// Flight-recorder phase latencies (telemetry::PhaseSpan): the crashing
-  /// run up to the armed crash, the S1–S4 post-mortem capture, the restart.
+  /// Flight-recorder phase latencies (telemetry::PhaseSpan): run()'s golden
+  /// runs, the sweep crashing run, the S1–S4 post-mortem capture, the
+  /// restart.
+  telemetry::Histogram& goldenUs;
   telemetry::Histogram& crashRunUs;
   telemetry::Histogram& postmortemUs;
   telemetry::Histogram& restartUs;
@@ -126,12 +132,12 @@ class TrialExecutor {
   /// the end; CampaignRunner::runRestart).
   virtual int restart(std::size_t t, const SweepCapture& capture, int slot,
                       double budget, CrashTestRecord& record) = 0;
-  /// The single sweep crashing run over `plan`. True iff every point was
-  /// captured. When the run dies it throws, with the formatted region path
-  /// it died in left in `throwSite` (or carried by the AttemptFailure), and
-  /// the scheduler charges the death to the first uncaptured point.
-  virtual bool sweep(const SweepPlan& plan, int slot, const OnCapture& onCapture,
-                     std::string& throwSite) = 0;
+  /// The single sweep crashing run over `plan` (CampaignRunner::sweepRun).
+  /// When the run dies it throws, with the formatted region path it died in
+  /// left in `throwSite` (or carried by the AttemptFailure), and the
+  /// scheduler charges the death to the first uncaptured point, if any.
+  virtual SweepOutcome sweep(const SweepPlan& plan, int slot,
+                             const OnCapture& onCapture, std::string& throwSite) = 0;
   /// Worker tallies for the live status snapshot (fork only).
   virtual void fillStatus(CampaignStatus& status) const { (void)status; }
 };

@@ -41,8 +41,10 @@ constexpr int kDieAtIteration = 12;
 
 /// sp whose crashing runs throw on reaching kDieAtIteration: every sweep
 /// dies mid-window, so the campaign charges each death to a crash point and
-/// sweeps the tail again. The golden run (the factory's first construction)
-/// and the direct-mode restarts are spared.
+/// sweeps the tail again. The golden runs (the factory's first construction,
+/// and the simulated golden run labelled "golden" that supplies the golden
+/// share when no sweep reaches the end) and the direct-mode restarts are
+/// spared.
 class DyingSp final : public rt::IApp {
  public:
   DyingSp(std::unique_ptr<rt::IApp> inner, bool dies)
@@ -52,7 +54,8 @@ class DyingSp final : public rt::IApp {
   void setup(rt::Runtime& runtime) override { inner_->setup(runtime); }
   void initialize(rt::Runtime& runtime) override { inner_->initialize(runtime); }
   void iterate(rt::Runtime& runtime, int iteration) override {
-    if (dies_ && !runtime.direct() && iteration >= kDieAtIteration) {
+    if (dies_ && !runtime.direct() && runtime.traceRun() != "golden" &&
+        iteration >= kDieAtIteration) {
       throw std::runtime_error("dying sp: induced failure");
     }
     inner_->iterate(runtime, iteration);

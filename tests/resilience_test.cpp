@@ -787,6 +787,29 @@ TEST(ResilienceTest, RetryBackoffIsDeterministicDoublingAndCapped) {
   EXPECT_EQ(cr::retryBackoffMs(res, 42, 3, 1), 0u);
 }
 
+TEST(ResilienceTest, NativeGoldenDeadlineKeepsItsMicrosecondsAndScales) {
+  cr::ResilienceConfig res;
+  res.isolate = true;
+  res.goldenTimeoutMultiple = 20.0;
+  // A 5.9 ms native golden run: 5.9 ms x 10 (native) x 20 = 1180 ms. Whole
+  // milliseconds would have dropped the 0.9 ms and floored it at 1000 ms.
+  EXPECT_EQ(cr::trialDeadlineMs(res, 5900, true), 1180u);
+  EXPECT_EQ(cr::trialDeadlineMs(res, 5999, true), 1199u);
+  // A simulated golden run keeps its own time as the base.
+  EXPECT_EQ(cr::trialDeadlineMs(res, 59000, false), 1180u);
+  // The 1 s floor.
+  EXPECT_EQ(cr::trialDeadlineMs(res, 5900, false), 1000u);
+  // An explicit deadline wins; no multiple or no isolation means no watchdog.
+  res.trialTimeoutMs = 250;
+  EXPECT_EQ(cr::trialDeadlineMs(res, 5900, true), 250u);
+  res.trialTimeoutMs = 0;
+  res.goldenTimeoutMultiple = 0.0;
+  EXPECT_EQ(cr::trialDeadlineMs(res, 5900, true), 0u);
+  res.goldenTimeoutMultiple = 20.0;
+  res.isolate = false;
+  EXPECT_EQ(cr::trialDeadlineMs(res, 5900, true), 0u);
+}
+
 TEST(ResilienceTest, ReadJournalToleratesTornFinalLine) {
   const std::string path = tempPath("journal_torn.jsonl");
   {

@@ -1,8 +1,8 @@
 // The sweep tests' miniature app (tests/sweep_test.cpp,
 // tests/trial_oracle_test.cpp): an accumulator mirroring campaign_test's
-// ProbeApp, with a knob that throws a harness-level exception (not an
+// ProbeApp, with knobs that throw a harness-level exception (not an
 // AppInterrupt) at a fixed iteration — a crashing run that dies before its
-// armed crash fires.
+// armed crash fires — or in verify(), after the crash window.
 #pragma once
 
 #include <atomic>
@@ -24,9 +24,13 @@ class SweepApp final : public rt::IApp {
     int iterations = 6;
     int cells = 256;
     /// 0 = never; otherwise crashing runs die on reaching this iteration.
-    /// Restarts are exempt (they run in direct mode), and sweepFactory
-    /// exempts the first construction so the golden run completes.
+    /// Restarts are exempt (they run in direct mode), and so are golden
+    /// runs: sweepFactory exempts the first construction, and a campaign's
+    /// simulated golden run is labelled "golden".
     int throwAtIteration = 0;
+    /// Crashing runs that get past the crash window die in verify(): a
+    /// campaign's sweep dies after its last capture. Same exemptions.
+    bool throwInVerify = false;
   };
 
   explicit SweepApp(Knobs knobs) : knobs_(knobs) {}
@@ -48,7 +52,7 @@ class SweepApp final : public rt::IApp {
   void iterate(rt::Runtime& runtime, int iteration) override {
     {
       rt::RegionScope region(runtime, 0);
-      if (knobs_.throwAtIteration > 0 && !runtime.direct() &&
+      if (knobs_.throwAtIteration > 0 && crashing(runtime) &&
           iteration >= knobs_.throwAtIteration) {
         throw std::runtime_error("sweep-app: induced failure");
       }
@@ -72,7 +76,9 @@ class SweepApp final : public rt::IApp {
   }
 
   [[nodiscard]] rt::VerifyOutcome verify(rt::Runtime& runtime) override {
-    (void)runtime;
+    if (knobs_.throwInVerify && crashing(runtime)) {
+      throw std::runtime_error("sweep-app: induced failure in verify");
+    }
     rt::VerifyOutcome out;
     std::int64_t total = 0;
     for (int i = 0; i < knobs_.cells; ++i) total += data_.peek(i);
@@ -84,6 +90,10 @@ class SweepApp final : public rt::IApp {
   }
 
  private:
+  [[nodiscard]] static bool crashing(const rt::Runtime& runtime) {
+    return !runtime.direct() && runtime.traceRun() != "golden";
+  }
+
   Knobs knobs_;
   rt::AppInfo info_{"sweep-app", "sweep evaluator test app"};
   rt::TrackedArray<std::int64_t> data_;
@@ -91,13 +101,16 @@ class SweepApp final : public rt::IApp {
 };
 
 inline rt::AppFactory sweepFactory(SweepApp::Knobs knobs) {
-  // A campaign's golden run is always the factory's first construction; it
-  // must complete for the campaign to start, so it never throws. Each
-  // campaign (and each oracle) takes a factory of its own.
+  // A golden run is always the factory's first construction; it must
+  // complete for the campaign (or the oracle) to start, so it never throws.
+  // Each campaign (and each oracle) takes a factory of its own.
   auto constructions = std::make_shared<std::atomic<int>>(0);
   return [knobs, constructions] {
     auto effective = knobs;
-    if (constructions->fetch_add(1) == 0) effective.throwAtIteration = 0;
+    if (constructions->fetch_add(1) == 0) {
+      effective.throwAtIteration = 0;
+      effective.throwInVerify = false;
+    }
     return std::make_unique<SweepApp>(effective);
   };
 }

@@ -9,7 +9,9 @@
 //     (candidates@main), at --threads 1 and 4 under both executors;
 //   - on a window so small that crash indices repeat (shared captures);
 //   - on an app whose crashing runs die mid-window, where the dead sweep is
-//     charged to its first uncaptured crash point and the tail re-swept.
+//     charged to its first uncaptured crash point and the tail re-swept;
+//   - on an app whose crashing runs die after the crash window, where the
+//     dead sweep charges no trial.
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -25,6 +27,7 @@
 #include "easycrash/crash/plan_spec.hpp"
 #include "easycrash/crash/report.hpp"
 #include "easycrash/runtime/runtime.hpp"
+#include "easycrash/telemetry/metrics.hpp"
 #include "sweep_app.hpp"
 #include "trial_oracle.hpp"
 
@@ -32,6 +35,7 @@ namespace ec = easycrash;
 namespace cr = easycrash::crash;
 namespace ms = easycrash::memsim;
 namespace rt = easycrash::runtime;
+namespace tl = easycrash::telemetry;
 
 namespace {
 
@@ -207,4 +211,39 @@ TEST(TrialOracleSweepApp, MidWindowThrowMatchesPerTrialFailures) {
   ASSERT_GT(want.result.failures.size(), 0u) << "expected late crash points to fail";
   checkAgainstOracle([&] { return sweep_app::sweepFactory(knobs); }, config,
                      "oracle_throw");
+}
+
+TEST(TrialOracleSweepApp, ThrowPastTheLastCrashPointChargesNoTrial) {
+  // Crashing runs die in verify(), after the crash window: every sweep
+  // captures all its crash points and then dies on the way to the golden
+  // final iteration. No trial owes that death anything, so every record is
+  // the oracle's and none fails; the golden share comes from the simulated
+  // golden run after the drain instead of from the sweep.
+  sweep_app::SweepApp::Knobs knobs;
+  knobs.throwInVerify = true;
+  cr::CampaignConfig config;
+  config.numTests = 30;
+  config.cache = ms::CacheConfig::tiny();
+  config.resilience.isolate = true;
+  const trial_oracle::Verdict want = trial_oracle::decideCampaign(
+      sweep_app::sweepFactory(knobs), config, tempPath("oracle_tail_oracle.jsonl"));
+  ASSERT_EQ(want.result.tests.size(), static_cast<std::size_t>(config.numTests));
+  const cr::GoldenStats golden =
+      cr::CampaignRunner(sweep_app::sweepFactory(knobs), config).goldenRun();
+
+  tl::Counter& fallbacks =
+      tl::MetricsRegistry::instance().counter("campaign.golden_fallbacks");
+  for (const Executor& executor : kExecutors) {
+    SCOPED_TRACE(label(executor));
+    const std::uint64_t before = fallbacks.value();
+    const trial_oracle::Verdict got =
+        runCampaign(sweep_app::sweepFactory(knobs), config, executor,
+                    tempPath("oracle_tail_campaign.jsonl"));
+    EXPECT_EQ(fallbacks.value() - before, 1u);
+    EXPECT_TRUE(got.result.failures.empty());
+    expectSameCampaign(want, got);
+    EXPECT_EQ(got.result.golden.events.loads, golden.events.loads);
+    EXPECT_EQ(got.result.golden.events.stores, golden.events.stores);
+    EXPECT_EQ(got.result.golden.events.nvmBlockWrites, golden.events.nvmBlockWrites);
+  }
 }

@@ -11,8 +11,11 @@
 // Trace mode additionally knows the per-type schema of the sweep
 // evaluator's events (docs/INTERNALS.md): a sweep_capture must carry
 // run/crash_access/region/iteration/trials and a sweep_end must carry
-// run/captures/planned/completed with captures <= planned — an analysis
-// joining captures against trial_end rows breaks silently otherwise. The
+// run/captures/planned/completed/golden_share with captures <= planned — an
+// analysis joining captures against trial_end rows breaks silently
+// otherwise. At most one sweep_end per campaign (campaign_begin to
+// campaign_end) may carry golden_share=true: one sweep supplies the golden
+// run's simulated share. The
 // flight recorder's phase spans (docs/OBSERVABILITY.md) are checked too: a
 // phase_begin must name its "phase" and a phase_end must additionally carry
 // a non-negative "duration_ns", and a postmortem_scan must carry its block
@@ -25,11 +28,16 @@
 // its restart iteration.
 //
 // Given both a trace and a metrics snapshot, the two must agree on the
-// campaign's phases: for P in crash_run, postmortem and restart, the number
-// of phase_end events with phase=P must equal the observation count of the
-// campaign.P_us histogram, whichever executor ran the trials; and
+// campaign's phases: for P in golden, crash_run, postmortem and restart, the
+// number of phase_end events with phase=P must equal the observation count
+// of the campaign.P_us histogram, whichever executor ran the trials; and
 // campaign.restart_rejoins cannot exceed the restart phase_end count (every
-// rejoin is one restart that stopped early).
+// rejoin is one restart that stopped early). They must also agree on where
+// each golden share came from: every full-monitor campaign that completed
+// (campaign_end with interrupted=false) got it either from one sweep
+// (golden_share=true) or from a simulated golden run after the drain, so
+// the completed campaigns without a golden_share sweep must number
+// campaign.golden_fallbacks.
 //
 // Status mode validates one live snapshot written by nvct --status-out: a
 // single campaign_status object whose tallies are self-consistent
@@ -178,9 +186,57 @@ std::string lintSweepEvent(const json::Value& value, const std::string& type) {
         !(completed->kind == json::Value::Kind::Bool || completed->isNumber())) {
       return "sweep_end missing \"completed\"";
     }
+    const json::Value* share = value.find("golden_share");
+    if (share == nullptr || share->kind != json::Value::Kind::Bool) {
+      return "sweep_end missing boolean \"golden_share\"";
+    }
   }
   return {};
 }
+
+/// What a trace says about its campaigns, for the checks against a metrics
+/// snapshot.
+struct TraceSummary {
+  std::map<std::string, std::uint64_t> phaseEnds;  ///< phase_end events per phase
+  /// Full-monitor campaigns that completed, and how many of them got their
+  /// golden share from a sweep.
+  std::uint64_t completedCampaigns = 0;
+  std::uint64_t sweptGoldenShares = 0;
+};
+
+/// Follows one campaign at a time through the trace: golden_share sweeps
+/// between campaign_begin and campaign_end. Returns an error, if any.
+class CampaignTracker {
+ public:
+  std::string observe(const json::Value& value, const std::string& type,
+                      TraceSummary& summary) {
+    if (type == "campaign_begin") {
+      const json::Value* monitor = value.find("monitor");
+      full_ = monitor == nullptr || !monitor->isString() || monitor->string == "full";
+      shares_ = 0;
+    } else if (type == "sweep_end") {
+      const json::Value* share = value.find("golden_share");
+      if (share != nullptr && share->boolean && ++shares_ > 1) {
+        return "more than one sweep_end with golden_share=true in one campaign";
+      }
+    } else if (type == "campaign_end") {
+      const json::Value* interrupted = value.find("interrupted");
+      const bool completed = interrupted == nullptr ||
+                             (interrupted->kind == json::Value::Kind::Bool &&
+                              !interrupted->boolean);
+      if (full_ && completed) {
+        ++summary.completedCampaigns;
+        summary.sweptGoldenShares += shares_;
+      }
+      shares_ = 0;
+    }
+    return {};
+  }
+
+ private:
+  bool full_ = true;
+  std::uint64_t shares_ = 0;
+};
 
 /// Per-type schema of the post-mortem scan's trace event: the fast-path
 /// inconsistency scan emits one postmortem_scan per scanned range, carrying
@@ -235,9 +291,8 @@ std::string lintRegionSnapshotEvent(const json::Value& value, const std::string&
   return {};
 }
 
-/// `phaseEnds` receives the number of phase_end events per phase.
 int lintTrace(const std::string& path, const std::vector<std::string>& requiredFields,
-              bool stats, std::map<std::string, std::uint64_t>& phaseEnds) {
+              bool stats, TraceSummary& summary) {
   std::ifstream is(path);
   if (!is) {
     std::cerr << "trace_lint: cannot open " << path << '\n';
@@ -247,6 +302,7 @@ int lintTrace(const std::string& path, const std::vector<std::string>& requiredF
   std::uint64_t lineNo = 0;
   std::uint64_t events = 0;
   std::map<std::string, std::uint64_t> typeCounts;
+  CampaignTracker campaigns;
   while (std::getline(is, line)) {
     ++lineNo;
     if (line.empty()) continue;
@@ -282,7 +338,8 @@ int lintTrace(const std::string& path, const std::vector<std::string>& requiredF
                                       lintWorkerEvent(*value, type->string),
                                       lintTrialEndEvent(*value, type->string),
                                       lintPostmortemEvent(*value, type->string),
-                                      lintRegionSnapshotEvent(*value, type->string)}) {
+                                      lintRegionSnapshotEvent(*value, type->string),
+                                      campaigns.observe(*value, type->string, summary)}) {
       if (!error2.empty()) {
         std::cerr << "trace_lint: " << path << ':' << lineNo << ": " << error2 << '\n';
         return 1;
@@ -290,7 +347,9 @@ int lintTrace(const std::string& path, const std::vector<std::string>& requiredF
     }
     ++events;
     if (stats) ++typeCounts[type->string];
-    if (type->string == "phase_end") ++phaseEnds[value->find("phase")->string];
+    if (type->string == "phase_end") {
+      ++summary.phaseEnds[value->find("phase")->string];
+    }
   }
   if (events == 0) {
     std::cerr << "trace_lint: " << path << " contains no events\n";
@@ -447,9 +506,10 @@ int lintMetrics(const std::string& path, const std::vector<std::string>& require
 /// must number the observations of campaign.P_us. A mismatch means some
 /// execution mode lost (or double-counted) one side — e.g. fork workers
 /// whose spans reached the trace while their histograms stayed behind.
-int lintPhaseHistograms(const std::map<std::string, std::uint64_t>& phaseEnds,
+int lintPhaseHistograms(const TraceSummary& summary,
                         const std::map<std::string, std::uint64_t>& counterValues,
                         const std::map<std::string, std::uint64_t>& histogramCounts) {
+  const std::map<std::string, std::uint64_t>& phaseEnds = summary.phaseEnds;
   int status = 0;
   const auto rejoins = counterValues.find("campaign.restart_rejoins");
   const auto restarts = phaseEnds.find("restart");
@@ -460,7 +520,7 @@ int lintPhaseHistograms(const std::map<std::string, std::uint64_t>& phaseEnds,
               << " but only " << restartCount << " restart phase_end event(s)\n";
     status = 1;
   }
-  for (const std::string phase : {"crash_run", "postmortem", "restart"}) {
+  for (const std::string phase : {"golden", "crash_run", "postmortem", "restart"}) {
     const auto spans = phaseEnds.find(phase);
     const auto observed = histogramCounts.find("campaign." + phase + "_us");
     const std::uint64_t spanCount = spans == phaseEnds.end() ? 0 : spans->second;
@@ -472,6 +532,17 @@ int lintPhaseHistograms(const std::map<std::string, std::uint64_t>& phaseEnds,
                 << '\n';
       status = 1;
     }
+  }
+  const auto fallbacks = counterValues.find("campaign.golden_fallbacks");
+  const std::uint64_t fallbackCount =
+      fallbacks == counterValues.end() ? 0 : fallbacks->second;
+  const std::uint64_t unswept = summary.completedCampaigns - summary.sweptGoldenShares;
+  if (unswept != fallbackCount) {
+    std::cerr << "trace_lint: " << unswept << " of " << summary.completedCampaigns
+              << " completed full-monitor campaign(s) got no golden share from a "
+                 "sweep but campaign.golden_fallbacks counts "
+              << fallbackCount << '\n';
+    status = 1;
   }
   return status;
 }
@@ -699,19 +770,19 @@ int main(int argc, char** argv) {
       return 1;
     }
     int status = 0;
-    std::map<std::string, std::uint64_t> phaseEnds;
+    TraceSummary traceSummary;
     std::map<std::string, std::uint64_t> counterValues;
     std::map<std::string, std::uint64_t> histogramCounts;
     if (!tracePath.empty()) {
       status |= lintTrace(tracePath, splitCsv(cli.getString("require-field")),
-                          cli.getFlag("stats"), phaseEnds);
+                          cli.getFlag("stats"), traceSummary);
     }
     if (!metricsPath.empty()) {
       status |= lintMetrics(metricsPath, splitCsv(cli.getString("require-counter")),
                             counterValues, histogramCounts);
     }
     if (status == 0 && !tracePath.empty() && !metricsPath.empty()) {
-      status |= lintPhaseHistograms(phaseEnds, counterValues, histogramCounts);
+      status |= lintPhaseHistograms(traceSummary, counterValues, histogramCounts);
     }
     if (!journalPath.empty()) {
       status |= lintJournal(journalPath,
